@@ -32,7 +32,6 @@ from .report import render_table, render_series, render_histogram
 from .suite import (
     BENCH_SCHEMA_VERSION,
     BenchSuiteConfig,
-    EXECUTOR_FACTORIES,
     SUITES,
     compare_bench,
     load_bench,
@@ -64,7 +63,6 @@ __all__ = [
     "render_histogram",
     "BENCH_SCHEMA_VERSION",
     "BenchSuiteConfig",
-    "EXECUTOR_FACTORIES",
     "SUITES",
     "compare_bench",
     "load_bench",

@@ -15,15 +15,10 @@ from __future__ import annotations
 import tracemalloc
 from dataclasses import dataclass, field
 
-from ..concurrency import (
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import SerialExecutor
 from ..core.tracer import SSATracer
 from ..errors import ConcurrencyError
+from ..executors import make_executor
 from ..state.view import BlockOverlay
 from ..workloads import conflict_ratio_block
 from ..workloads.zipf import zipf_head_share
@@ -200,7 +195,7 @@ def run_preexec(
         serial = SerialExecutor().execute_block(
             chain.fresh_world(), block.txs, block.env
         )
-        executor = ParallelEVMExecutor(threads=threads, preexecute=True)
+        executor = make_executor("parallelevm-preexec", threads)
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
         if result.writes != serial.writes:
             raise ConcurrencyError("pre-executed ParallelEVM diverged")
@@ -249,7 +244,7 @@ def run_fig9(
             MainnetWorkload(chain, config).block(START_BLOCK + i)
         )
     summaries = measure_speedups(
-        chain, block_list, [ParallelEVMExecutor(threads=threads)]
+        chain, block_list, [make_executor("parallelevm", threads)]
     )
     speedups = summaries["parallelevm"].speedups
 
@@ -325,9 +320,8 @@ def run_fig11(
     """Figure 11: ERC20 blocks with a controlled conflicting-tx ratio."""
     chain = standard_chain(accounts=accounts)
     executors = [
-        OCCExecutor(threads=threads),
-        BlockSTMExecutor(threads=threads),
-        ParallelEVMExecutor(threads=threads),
+        make_executor(name, threads)
+        for name in ("occ", "block-stm", "parallelevm")
     ]
     series: dict[str, list[float]] = {ex.name: [] for ex in executors}
     for i, ratio in enumerate(ratios):
@@ -368,7 +362,7 @@ def run_fig12(
         workload = standard_workload(chain, size)
         blocks = workload.blocks(START_BLOCK + 10 * i, blocks_per_size)
         summaries = measure_speedups(
-            chain, blocks, [ParallelEVMExecutor(threads=threads)]
+            chain, blocks, [make_executor("parallelevm", threads)]
         )
         speedups.append(summaries["parallelevm"].mean)
 
@@ -484,13 +478,14 @@ def run_overhead(
 
     # -- log size and tracking share: trace every tx of every block --------
     from ..concurrency.base import run_speculative
+    from ..sim.cost import DEFAULT_COST_MODEL
 
+    cost_model = DEFAULT_COST_MODEL
     instructions = 0
     log_entries = 0
     tracked_txs = 0
     tracking_us = 0.0
     total_us = 0.0
-    cost_model = ParallelEVMExecutor().cost_model
     for block in block_list:
         overlay = BlockOverlay()
         for tx in block.txs:
@@ -514,7 +509,7 @@ def run_overhead(
     redo_time = 0.0
     block_time = 0.0
     for block in block_list:
-        executor = ParallelEVMExecutor(threads=threads)
+        executor = make_executor("parallelevm", threads)
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
         stats = result.stats
         redo_entries += stats["redo_entries_total"]
@@ -626,7 +621,7 @@ def run_pipeline(
             StreamSpec(accounts=accounts, txs_per_block=txs_per_block, seed=1),
             cache_capacity=100_000,
         )
-        executor = ParallelEVMExecutor(threads=threads)
+        executor = make_executor("parallelevm", threads)
         executor.durability = DurableCommitPipeline()
         coordinator = (
             PipelineCoordinator(pipeline_config)

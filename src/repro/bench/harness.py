@@ -5,20 +5,17 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from ..concurrency import (
-    BlockExecutor,
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import BlockExecutor, SerialExecutor
 from ..errors import ConcurrencyError
 from ..evm.message import BlockEnv
+from ..executors import make_executor
 from ..state.world import WorldState
 from ..workloads import Block, Chain, ChainSpec, MainnetConfig, MainnetWorkload, build_chain
 
 DEFAULT_THREADS = 16
+
+# The paper's four concurrent executors, in Table 1 order.
+TABLE1_EXECUTORS = ("2pl", "occ", "block-stm", "parallelevm")
 
 
 def standard_chain(accounts: int = 500, tokens: int = 8, amm_pairs: int = 3) -> Chain:
@@ -40,12 +37,7 @@ def standard_workload(
 
 def executor_suite(threads: int = DEFAULT_THREADS) -> list[BlockExecutor]:
     """The paper's four concurrent executors, in Table 1 order."""
-    return [
-        TwoPLExecutor(threads=threads),
-        OCCExecutor(threads=threads),
-        BlockSTMExecutor(threads=threads),
-        ParallelEVMExecutor(threads=threads),
-    ]
+    return [make_executor(name, threads) for name in TABLE1_EXECUTORS]
 
 
 @dataclass(slots=True)

@@ -1,7 +1,7 @@
 """Regression benchmark suite: deterministic ``BENCH_<name>.json`` emission.
 
 ``run_suite`` drives three sweeps (worker count, contention ratio, block
-size) through every executor the CLI knows, with a fresh
+size) through every executor in :mod:`repro.executors`, with a fresh
 :class:`~repro.obs.trace.BlockObserver` attached per run, and folds the
 results into one JSON-ready document: per-executor speedups,
 conflict/redo/abort rates, the schedule's critical-path breakdown
@@ -20,15 +20,9 @@ import json
 from dataclasses import asdict, dataclass
 
 from ..analysis.conflict_graph import analyze_block
-from ..concurrency import (
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPhaseExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import SerialExecutor
 from ..errors import ConcurrencyError
+from ..executors import EXECUTORS, make_executor
 
 # Submodule imports (not the obs package) — repro.obs itself renders tables
 # through repro.bench.report, so going through the packages would cycle.
@@ -42,31 +36,6 @@ from .harness import standard_chain
 BENCH_SCHEMA_VERSION = 1
 
 START_BLOCK = 14_000_000
-
-# Every executor the CLI's ``run`` command addresses, in report order.
-EXECUTOR_FACTORIES = {
-    "serial": lambda threads, observer: SerialExecutor(
-        threads=threads, observer=observer
-    ),
-    "2pl": lambda threads, observer: TwoPLExecutor(
-        threads=threads, observer=observer
-    ),
-    "occ": lambda threads, observer: OCCExecutor(
-        threads=threads, observer=observer
-    ),
-    "block-stm": lambda threads, observer: BlockSTMExecutor(
-        threads=threads, observer=observer
-    ),
-    "two-phase": lambda threads, observer: TwoPhaseExecutor(
-        threads=threads, observer=observer
-    ),
-    "parallelevm": lambda threads, observer: ParallelEVMExecutor(
-        threads=threads, observer=observer
-    ),
-    "parallelevm-preexec": lambda threads, observer: ParallelEVMExecutor(
-        threads=threads, preexecute=True, observer=observer
-    ),
-}
 
 
 @dataclass(slots=True, frozen=True)
@@ -131,9 +100,9 @@ def _run_point(chain, block, threads: int) -> dict:
     tx_count = len(block.txs) or 1
     analysis = analyze_block(chain.fresh_world(), block.txs, block.env)
     executors: dict[str, dict] = {}
-    for name, factory in EXECUTOR_FACTORIES.items():
+    for name in EXECUTORS:
         observer = BlockObserver()
-        executor = factory(threads, observer)
+        executor = make_executor(name, threads, observer=observer)
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)
         if result.writes != serial.writes:
             raise ConcurrencyError(

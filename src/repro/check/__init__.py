@@ -19,7 +19,8 @@ serial block-order execution) gets an automated hunter:
 - :mod:`repro.check.crashfuzz` — the crash fuzzer: process death at
   every site of the durable commit path (:mod:`repro.durability`) must
   recover to exactly the pre- or post-block state, and reorg rollbacks
-  must reproduce the serial reference;
+  must reproduce the serial reference; its sweep driver also runs the
+  failover sweep of :mod:`repro.check.failover`;
 - :mod:`repro.check.ingress` — the overload scenarios: a seeded client
   fleet against the JSON-RPC facade (:mod:`repro.rpc`), certifying
   conservation, typed shedding and serial equivalence under traffic
@@ -30,32 +31,19 @@ CLI entry points: ``repro fuzz``, ``repro certify``, ``repro chaos`` and
 """
 
 from .certify import (
-    CERTIFIED_EXECUTORS,
     CertificationReport,
     Divergence,
     block_to_json,
     certify_block,
 )
-from .chaos import (
-    CHAOS_EXECUTORS,
-    ChaosBlockReport,
-    chaos_executors,
-    run_chaos_block,
-)
+from .chaos import ChaosBlockReport, run_chaos_block
 from .crashfuzz import (
-    CRASH_EXECUTORS,
-    CrashSweepReport,
-    PipelinedCrashSweepReport,
-    ReorgRoundTripReport,
+    SweepReport,
     crash_sweep_block,
     pipelined_crash_sweep_block,
     reorg_roundtrip_block,
 )
-from .failover import (
-    FailoverSweepReport,
-    failover_sweep,
-    run_replication_scenario,
-)
+from .failover import failover_sweep, run_replication_scenario
 from .fuzzer import BlockFuzzer, FuzzConfig
 from .ingress import (
     ingress_config_for,
@@ -73,22 +61,15 @@ from .shrink import ShrinkResult, shrink_block
 
 __all__ = [
     "BlockFuzzer",
-    "CERTIFIED_EXECUTORS",
-    "CHAOS_EXECUTORS",
-    "CRASH_EXECUTORS",
     "CertificationReport",
     "ChaosBlockReport",
-    "CrashSweepReport",
-    "PipelinedCrashSweepReport",
-    "ReorgRoundTripReport",
-    "chaos_executors",
+    "SweepReport",
     "crash_sweep_block",
     "ingress_config_for",
     "ingress_seed",
     "run_ingress_scenario",
     "reorg_roundtrip_block",
     "Divergence",
-    "FailoverSweepReport",
     "failover_sweep",
     "run_replication_scenario",
     "FuzzConfig",

@@ -21,37 +21,20 @@ by executor and field), and renderable for humans and CI artifacts.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable
 
-from ..concurrency import (
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPhaseExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import SerialExecutor
 from ..core.schedule import ScheduledValidatorExecutor, propose_schedule
+from ..executors import EXECUTORS, make_executor
 from ..sim.cost import DEFAULT_COST_MODEL
 from ..state.receipts import receipts_root
 from ..workloads import Block, Chain
 from .replay import RedoReplayChecker
 
-# Executor factories: name -> (threads, redo_checker) -> BlockExecutor.
-# ParallelEVM variants take the replay oracle; the rest ignore it.
-CERTIFIED_EXECUTORS: dict[str, Callable] = {
-    "2pl": lambda threads, checker: TwoPLExecutor(threads=threads),
-    "occ": lambda threads, checker: OCCExecutor(threads=threads),
-    "block-stm": lambda threads, checker: BlockSTMExecutor(threads=threads),
-    "two-phase": lambda threads, checker: TwoPhaseExecutor(threads=threads),
-    "parallelevm": lambda threads, checker: ParallelEVMExecutor(
-        threads=threads, redo_checker=checker
-    ),
-    "parallelevm-preexec": lambda threads, checker: ParallelEVMExecutor(
-        threads=threads, preexecute=True, redo_checker=checker
-    ),
-}
+# Certified by default: every executor config except the serial
+# reference itself.
+_CONCURRENT = tuple(name for name in EXECUTORS if name != "serial")
 
 
 @dataclass(slots=True)
@@ -112,20 +95,25 @@ def certify_block(
     chain: Chain,
     block: Block,
     threads: int = 8,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] | None = None,
     include_scheduled: bool = True,
     check_roots: bool = True,
     metrics=None,
+    fault_plans: Mapping | None = None,
 ) -> CertificationReport:
     """Certify that every executor reproduces serial execution of ``block``.
 
     Each run starts from a fresh cold clone of the chain's genesis world,
-    mirroring how the equivalence theorem is stated.  ``executors`` narrows
-    the suite (e.g. during shrinking, when only the failing executor
-    matters); ``include_scheduled`` adds the proposer/validator replays,
-    which cost one extra proposer execution of the block.
+    mirroring how the equivalence theorem is stated.  ``executors`` names
+    the configs to certify (default: every one but serial) and narrows the
+    suite, e.g. during shrinking, when only the failing executor matters;
+    ``fault_plans`` maps executor names to the
+    :class:`~repro.resilience.FaultPlan` each runs under (chaos mode).
+    ``include_scheduled`` adds the proposer/validator replays, which cost
+    one extra proposer execution of the block.
     """
-    executors = CERTIFIED_EXECUTORS if executors is None else executors
+    executors = _CONCURRENT if executors is None else executors
+    fault_plans = fault_plans or {}
     serial = SerialExecutor().execute_block(
         chain.fresh_world(), block.txs, block.env
     )
@@ -201,11 +189,16 @@ def certify_block(
                     field=divergence.field,
                 ).inc()
 
-    for name, factory in executors.items():
+    for name in executors:
         checker = RedoReplayChecker(
             cost_model=DEFAULT_COST_MODEL, strict=False, metrics=metrics
         )
-        executor = factory(threads, checker)
+        executor = make_executor(
+            name,
+            threads,
+            redo_checker=checker,
+            fault_plan=fault_plans.get(name),
+        )
         if getattr(executor, "redo_checker", None) is not checker:
             checker = None
         result = executor.execute_block(chain.fresh_world(), block.txs, block.env)

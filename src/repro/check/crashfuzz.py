@@ -13,7 +13,8 @@ object except the durable medium, and drives
     **post-block** state for every site after it — never anything else.
 
 MPT state roots (the paper's §6.2 criterion) are additionally checked at
-the two sites bracketing the atomicity boundary, where a torn hybrid would
+the two sites bracketing the atomicity boundary
+(:data:`repro.durability.ROOT_CHECK_SITES`), where a torn hybrid would
 hide if fingerprints ever collided.
 
 ``pipelined_crash_sweep_block`` extends the sweep to the multi-block
@@ -35,25 +36,23 @@ transactions as a single fork block, and verifies — per executor — that
 the post-reorg state matches a serial reference of ancestor+fork and that
 recovery from the post-reorg journal reproduces it.
 
-Both entry points run per executor config (the seven the chaos suite
-covers), so "atomic under crashes" is certified for every commit path, not
-just the serial one.
+All of them, and the replication layer's failover sweep
+(:mod:`repro.check.failover`), run on one driver: :func:`run_sweep` loops
+executor configs × crash sites into one :class:`SweepReport`;
+:func:`crash_at_site` is the one crash step and :func:`expect_state` the
+one expected-state check.  Only the survivor step differs per sweep:
+recover; recover then resume; roll back and re-fork; or promote a replica.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from collections.abc import Callable, Sequence
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
-from ..concurrency import (
-    BlockSTMExecutor,
-    OCCExecutor,
-    SerialExecutor,
-    TwoPhaseExecutor,
-    TwoPLExecutor,
-)
-from ..core.executor import ParallelEVMExecutor
+from ..concurrency import SerialExecutor
 from ..durability import (
+    ROOT_CHECK_SITES,
     CrashInjector,
     DurableCommitPipeline,
     MemoryMedium,
@@ -63,41 +62,82 @@ from ..durability import (
     recover,
     site_expected_state,
 )
-from ..errors import DurabilityError, RecoveryError, ReorgDepthExceeded
-from ..workloads import Block, Chain
+from ..errors import DurabilityError
+from ..executors import EXECUTORS, make_executor
+from ..workloads import Block, Chain, copy_block
 from .certify import CertificationReport, Divergence
 
-# Executor factories for the crash sweep: name -> (threads) -> executor.
-# The same seven configs the chaos suite certifies; crash injection lives
-# in the commit pipeline, so the executors themselves run fault-free.
-CRASH_EXECUTORS: dict[str, Callable] = {
-    "serial": lambda threads: SerialExecutor(),
-    "2pl": lambda threads: TwoPLExecutor(threads=threads),
-    "occ": lambda threads: OCCExecutor(threads=threads),
-    "block-stm": lambda threads: BlockSTMExecutor(threads=threads),
-    "two-phase": lambda threads: TwoPhaseExecutor(threads=threads),
-    "parallelevm": lambda threads: ParallelEVMExecutor(threads=threads),
-    "parallelevm-preexec": lambda threads: ParallelEVMExecutor(
-        threads=threads, preexecute=True
+
+@dataclass(slots=True, frozen=True)
+class _SweepKind:
+    """How one kind of sweep words its report and counts itself."""
+
+    head: str  # formatted with the report's sizes and counters
+    verdict: str  # the describe() tail when nothing diverged
+    blocks_metric: str
+    failed_metric: str
+    counts_crashes: bool = False  # adds to crashfuzz_crashes_total
+
+
+_KINDS = {
+    "crash": _SweepKind(
+        "crash sweep block {block_number} ({tx_count} txs, "
+        "{sites} sites x {executors} executors, "
+        "{crashes_injected} crashes, {recoveries} recoveries)",
+        "atomic at every site",
+        "crashfuzz_blocks_total",
+        "crashfuzz_failed_blocks_total",
+        counts_crashes=True,
+    ),
+    "pipeline": _SweepKind(
+        "pipelined crash sweep block {block_number} "
+        "({tx_count} txs, {sites} sites x {executors} executors, "
+        "{crashes_injected} crashes, "
+        "{speculations_discarded} speculations discarded, "
+        "{speculations_salvaged} salvaged)",
+        "no speculative state survived any crash",
+        "crashfuzz_pipeline_blocks_total",
+        "crashfuzz_failed_pipeline_blocks_total",
+        counts_crashes=True,
+    ),
+    "reorg": _SweepKind(
+        "reorg round trip block {block_number} "
+        "({tx_count} txs, depth {reorg_depth}, "
+        "{executors} executors, {rollbacks} rollbacks)",
+        "fork state matches the serial reference",
+        "crashfuzz_reorg_roundtrips_total",
+        "crashfuzz_failed_reorgs_total",
+    ),
+    "failover": _SweepKind(
+        "failover sweep block {block_number} ({tx_count} txs, "
+        "{sites} sites x {executors} executors, "
+        "{failovers} failovers, {stale_frames_rejected} stale "
+        "frames fenced, failover {min_failover_us:.0f}-"
+        "{max_failover_us:.0f}us)",
+        "RPO=0 at every site",
+        "replication_sweeps_total",
+        "replication_failed_sweeps_total",
     ),
 }
 
-# Sites where the sweep upgrades the fingerprint check to a full MPT root
-# comparison: the two states bracketing the atomicity boundary.
-_ROOT_CHECK_SITES = frozenset({"pre-commit", "post-commit"})
-
 
 @dataclass(slots=True)
-class CrashSweepReport:
-    """One block's crash sweep across sites × executor configs."""
+class SweepReport:
+    """One sweep's outcome: executor configs × crash sites.
 
+    ``kind`` is ``crash``, ``pipeline``, ``reorg`` or ``failover``; it
+    prefixes every divergence's field (``crash:<site>``, ``reorg``, ...).
+    ``counters`` holds the kind's tallies (crashes injected, recoveries,
+    failovers, ...) under the names the chaos harness reports them by.
+    """
+
+    kind: str
     block_number: int
     tx_count: int
     sites: list[str] = field(default_factory=list)
     executors: list[str] = field(default_factory=list)
     divergences: list[Divergence] = field(default_factory=list)
-    crashes_injected: int = 0
-    recoveries: int = 0
+    counters: dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -114,27 +154,173 @@ class CrashSweepReport:
         )
 
     def describe(self) -> str:
-        head = (
-            f"crash sweep block {self.block_number} ({self.tx_count} txs, "
-            f"{len(self.sites)} sites x {len(self.executors)} executors, "
-            f"{self.crashes_injected} crashes, {self.recoveries} recoveries): "
+        kind = _KINDS[self.kind]
+        head = kind.head.format(
+            block_number=self.block_number,
+            tx_count=self.tx_count,
+            sites=len(self.sites),
+            executors=len(self.executors),
+            **self.counters,
         )
         if self.ok:
-            return head + "atomic at every site"
-        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
+            return f"{head}: {kind.verdict}"
+        lines = [f"{head}: {len(self.divergences)} VIOLATIONS"]
         lines += ["  " + d.describe() for d in self.divergences]
         return "\n".join(lines)
+
+
+class SweepViolation(Exception):
+    """Ends one (executor, site) pair; the message is the divergence detail."""
+
+
+@contextmanager
+def guarded(step: str, errors=(DurabilityError,)):
+    """Record a typed failure inside ``step`` as a violation, not a crash.
+
+    :class:`DurabilityError` covers recovery and reorg-depth failures too.
+    """
+    try:
+        yield
+    except errors as exc:
+        raise SweepViolation(f"{step} raised {exc}") from exc
+
+
+def state_of(world, check_roots: bool) -> tuple:
+    """``(fingerprint, MPT root or None)``: what the sweeps compare."""
+    return world.fingerprint(), world.state_root() if check_roots else None
+
+
+def crash_at_site(
+    report: SweepReport,
+    site: str,
+    commit: Callable[[CrashInjector], object],
+    step: str = "commit",
+) -> None:
+    """Run ``commit(crash)`` with a crash armed at ``site``.
+
+    The simulated process death is the expected outcome.  A durability
+    error instead, or a site that never fires (it silently stopped
+    existing, so the sweep would certify nothing there), is a violation.
+    """
+    crash = CrashInjector(site)
+    try:
+        with guarded(step):
+            commit(crash)
+    except SimulatedCrash:
+        pass
+    if not crash.fired:
+        raise SweepViolation("site never fired")
+    report.counters["crashes_injected"] += 1
+
+
+def expect_state(
+    world,
+    site: str,
+    pre: tuple,
+    post: tuple,
+    check_roots: bool,
+    wrong_state: Callable[[str, str], str],
+    wrong_root: str = "MPT root differs from the {expected}-block root",
+) -> str:
+    """Check a survivor holds exactly the state a crash at ``site`` leaves.
+
+    That is the pre-block state up to the torn COMMIT marker and the
+    post-block state after it (``pre``/``post`` from :func:`state_of`):
+    equal fingerprints, and at the boundary sites equal MPT roots.
+    ``wrong_state(expected, fingerprint)`` and ``wrong_root`` word the
+    violation.  Returns ``"pre"`` or ``"post"``.
+    """
+    expected = site_expected_state(site)
+    want_fp, want_root = pre if expected == "pre" else post
+    fingerprint = world.fingerprint()
+    if fingerprint != want_fp:
+        raise SweepViolation(wrong_state(expected, fingerprint))
+    if (
+        check_roots
+        and site in ROOT_CHECK_SITES
+        and world.state_root() != want_root
+    ):
+        raise SweepViolation(wrong_root.format(expected=expected))
+    return expected
+
+
+def run_sweep(
+    report: SweepReport,
+    executors: Sequence[str],
+    setup: Callable[[str], Callable[[str | None], None]],
+    metrics=None,
+) -> SweepReport:
+    """The loop every sweep shares: executor configs × ``report.sites``.
+
+    ``setup(name)`` runs once per executor config and returns its survivor
+    step; the step runs once per crash site and raises
+    :class:`SweepViolation` to record a divergence there.  A sweep with no
+    crash sites (the reorg round trip) runs the step once, with ``None``.
+    """
+    for name in executors:
+        report.executors.append(name)
+        survive = setup(name)
+        for site in report.sites or [None]:
+            try:
+                survive(site)
+            except SweepViolation as violation:
+                where = report.kind if site is None else f"{report.kind}:{site}"
+                report.divergences.append(
+                    Divergence(name, where, str(violation))
+                )
+
+    if metrics is not None:
+        kind = _KINDS[report.kind]
+        metrics.counter(kind.blocks_metric).inc()
+        if not report.ok:
+            metrics.counter(kind.failed_metric).inc()
+        if kind.counts_crashes:
+            metrics.counter("crashfuzz_crashes_total").inc(
+                report.counters["crashes_injected"]
+            )
+    return report
+
+
+def _crash_and_recover(
+    report: SweepReport,
+    chain: Chain,
+    site: str,
+    block_number: int,
+    result,
+    checkpoint_interval: int,
+    metrics,
+):
+    """Commit ``result`` onto a fresh world, die at ``site``, recover.
+
+    Returns the durable medium (all that survived the crash) and the
+    recovery result.
+    """
+    medium = MemoryMedium()
+    crash_at_site(
+        report,
+        site,
+        lambda crash: DurableCommitPipeline(
+            medium,
+            checkpoint_interval=checkpoint_interval,
+            crash=crash,
+            metrics=metrics,
+        ).commit(chain.fresh_world(), block_number, result),
+    )
+    with guarded("recovery"):
+        recovered = recover(medium, chain.fresh_world, metrics=metrics)
+    report.counters["recoveries"] += 1
+    return medium, recovered
 
 
 def crash_sweep_block(
     chain: Chain,
     block: Block,
     threads: int = 8,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] = EXECUTORS,
     checkpoint_interval: int = 0,
     check_roots: bool = True,
     metrics=None,
-) -> CrashSweepReport:
+) -> SweepReport:
     """Certify commit atomicity of ``block`` at every crash site.
 
     Each executor config executes the block once (deterministically); its
@@ -144,151 +330,68 @@ def crash_sweep_block(
     ``check_roots`` upgrades the boundary sites' fingerprint comparison to
     full MPT root equality.
     """
-    executors = CRASH_EXECUTORS if executors is None else executors
     sites = enumerate_crash_sites(
         len(block.txs), checkpoint=checkpoint_interval == 1
     )
-    report = CrashSweepReport(
-        block_number=block.number, tx_count=len(block), sites=sites
+    report = SweepReport(
+        "crash",
+        block.number,
+        len(block),
+        sites,
+        counters={
+            "crash_sites": len(sites),
+            "crashes_injected": 0,
+            "recoveries": 0,
+        },
     )
+    pre = state_of(chain.fresh_world(), check_roots)
 
-    pre_world = chain.fresh_world()
-    pre_fp = pre_world.fingerprint()
-    pre_root = pre_world.state_root() if check_roots else None
-
-    for name, factory in executors.items():
-        report.executors.append(name)
-        executor = factory(threads)
-        result = executor.execute_block(
+    def setup(name: str):
+        result = make_executor(name, threads).execute_block(
             chain.fresh_world(), block.txs, block.env
         )
         post_world = chain.fresh_world()
         post_world.apply(result.writes)
-        post_fp = post_world.fingerprint()
-        post_root = post_world.state_root() if check_roots else None
+        post = state_of(post_world, check_roots)
 
-        for site in sites:
-            medium = MemoryMedium()
-            crash = CrashInjector(site)
-            pipeline = DurableCommitPipeline(
-                medium,
-                checkpoint_interval=checkpoint_interval,
-                crash=crash,
-                metrics=metrics,
+        def survive(site: str) -> None:
+            _, recovered = _crash_and_recover(
+                report,
+                chain,
+                site,
+                block.number,
+                result,
+                checkpoint_interval,
+                metrics,
             )
-            world = chain.fresh_world()
-            try:
-                pipeline.commit(world, block.number, result)
-            except SimulatedCrash:
-                pass
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(name, f"crash:{site}", f"commit raised {exc}")
-                )
-                continue
-            if not crash.fired:
-                # The site silently stopped existing: the sweep would be
-                # certifying nothing there.
-                report.divergences.append(
-                    Divergence(name, f"crash:{site}", "site never fired")
-                )
-                continue
-            report.crashes_injected += 1
+            expect_state(
+                recovered.world,
+                site,
+                pre,
+                post,
+                check_roots,
+                lambda expected, _: (
+                    f"recovered state is neither pre- nor the expected "
+                    f"{expected}-block state ({recovered.describe()})"
+                ),
+            )
 
-            try:
-                recovered = recover(medium, chain.fresh_world, metrics=metrics)
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(name, f"crash:{site}", f"recovery raised {exc}")
-                )
-                continue
-            report.recoveries += 1
+        return survive
 
-            expected = site_expected_state(site)
-            want_fp = pre_fp if expected == "pre" else post_fp
-            if recovered.world.fingerprint() != want_fp:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        f"crash:{site}",
-                        f"recovered state is neither pre- nor the expected "
-                        f"{expected}-block state ({recovered.describe()})",
-                    )
-                )
-                continue
-            if check_roots and site in _ROOT_CHECK_SITES:
-                want_root = pre_root if expected == "pre" else post_root
-                if recovered.world.state_root() != want_root:
-                    report.divergences.append(
-                        Divergence(
-                            name,
-                            f"crash:{site}",
-                            f"MPT root differs from the {expected}-block root",
-                        )
-                    )
-
-    if metrics is not None:
-        metrics.counter("crashfuzz_blocks_total").inc()
-        if not report.ok:
-            metrics.counter("crashfuzz_failed_blocks_total").inc()
-        metrics.counter("crashfuzz_crashes_total").inc(report.crashes_injected)
-    return report
+    return run_sweep(report, executors, setup, metrics)
 
 
 # ---------------------------------------------------------------- pipeline
-
-
-@dataclass(slots=True)
-class PipelinedCrashSweepReport:
-    """Crash sweep of block N's commit with block N+1 executing speculatively."""
-
-    block_number: int
-    tx_count: int
-    sites: list[str] = field(default_factory=list)
-    executors: list[str] = field(default_factory=list)
-    divergences: list[Divergence] = field(default_factory=list)
-    crashes_injected: int = 0
-    recoveries: int = 0
-    speculations_discarded: int = 0
-    speculations_salvaged: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    @property
-    def certification(self) -> CertificationReport:
-        return CertificationReport(
-            block_number=self.block_number,
-            tx_count=self.tx_count,
-            executors=list(self.executors),
-            divergences=list(self.divergences),
-        )
-
-    def describe(self) -> str:
-        head = (
-            f"pipelined crash sweep block {self.block_number} "
-            f"({self.tx_count} txs, {len(self.sites)} sites x "
-            f"{len(self.executors)} executors, "
-            f"{self.crashes_injected} crashes, "
-            f"{self.speculations_discarded} speculations discarded, "
-            f"{self.speculations_salvaged} salvaged): "
-        )
-        if self.ok:
-            return head + "no speculative state survived any crash"
-        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
-        lines += ["  " + d.describe() for d in self.divergences]
-        return "\n".join(lines)
 
 
 def pipelined_crash_sweep_block(
     chain: Chain,
     block: Block,
     threads: int = 8,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] = EXECUTORS,
     check_roots: bool = True,
     metrics=None,
-) -> PipelinedCrashSweepReport:
+) -> SweepReport:
     """Certify that pipelined speculation never contaminates recovery.
 
     ``block`` is split (contiguously, preserving per-sender nonce order)
@@ -307,41 +410,44 @@ def pipelined_crash_sweep_block(
        and its tip matches the serial reference of N then N+1;
     3. a second recovery from the resumed journal reproduces that tip.
     """
-    executors = CRASH_EXECUTORS if executors is None else executors
     txs = block.txs
     if len(txs) < 2:
         raise ValueError("pipelined sweep needs at least 2 transactions")
     half = len(txs) // 2
-    block_n = _copy_block(block.number, txs[:half], block.env)
-    block_n1 = _copy_block(block.number + 1, txs[half:], block.env)
+    block_n = copy_block(block.number, txs[:half], block.env)
+    block_n1 = copy_block(block.number + 1, txs[half:], block.env)
 
     sites = enumerate_crash_sites(len(block_n.txs), checkpoint=False)
-    report = PipelinedCrashSweepReport(
-        block_number=block.number, tx_count=len(block), sites=sites
+    report = SweepReport(
+        "pipeline",
+        block.number,
+        len(block),
+        sites,
+        counters={
+            "crash_sites": len(sites),
+            "crashes_injected": 0,
+            "recoveries": 0,
+            "speculations_discarded": 0,
+            "speculations_salvaged": 0,
+        },
     )
-
-    pre_world = chain.fresh_world()
-    pre_fp = pre_world.fingerprint()
-    pre_root = pre_world.state_root() if check_roots else None
+    pre = state_of(chain.fresh_world(), check_roots)
 
     # Serial reference of the fully resumed chain: N then N+1.
     serial = SerialExecutor()
     ref = chain.fresh_world()
     ref.apply(serial.execute_block(ref, block_n.txs, block_n.env).writes)
     ref.apply(serial.execute_block(ref, block_n1.txs, block_n1.env).writes)
-    final_fp = ref.fingerprint()
-    final_root = ref.state_root() if check_roots else None
+    final_fp, final_root = state_of(ref, check_roots)
 
-    for name, factory in executors.items():
-        report.executors.append(name)
-        executor = factory(threads)
+    def setup(name: str):
+        executor = make_executor(name, threads)
         result_n = executor.execute_block(
             chain.fresh_world(), block_n.txs, block_n.env
         )
         post_world = chain.fresh_world()
         post_world.apply(result_n.writes)
-        post_fp = post_world.fingerprint()
-        post_root = post_world.state_root() if check_roots else None
+        post = state_of(post_world, check_roots)
 
         # The pipeline overlap: N+1 executes against N's uncommitted
         # overlay while N's durable commit is in flight.  ``spec_fp`` is
@@ -354,73 +460,29 @@ def pipelined_crash_sweep_block(
         spec_world.apply(spec_result.writes)
         spec_fp = spec_world.fingerprint()
 
-        for site in sites:
-            medium = MemoryMedium()
-            crash = CrashInjector(site)
-            pipeline = DurableCommitPipeline(
-                medium, crash=crash, metrics=metrics
+        def survive(site: str) -> None:
+            medium, recovered = _crash_and_recover(
+                report, chain, site, block_n.number, result_n, 0, metrics
             )
-            world = chain.fresh_world()
-            try:
-                pipeline.commit(world, block_n.number, result_n)
-            except SimulatedCrash:
-                pass
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(
-                        name, f"pipeline:{site}", f"commit raised {exc}"
-                    )
-                )
-                continue
-            if not crash.fired:
-                report.divergences.append(
-                    Divergence(name, f"pipeline:{site}", "site never fired")
-                )
-                continue
-            report.crashes_injected += 1
-
-            try:
-                recovered = recover(medium, chain.fresh_world, metrics=metrics)
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(
-                        name, f"pipeline:{site}", f"recovery raised {exc}"
-                    )
-                )
-                continue
-            report.recoveries += 1
-
-            expected = site_expected_state(site)
-            want_fp = pre_fp if expected == "pre" else post_fp
-            recovered_fp = recovered.world.fingerprint()
-            if recovered_fp != want_fp:
-                leak = (
+            expected = expect_state(
+                recovered.world,
+                site,
+                pre,
+                post,
+                check_roots,
+                lambda expected, fingerprint: (
                     "speculative N+1 state leaked into recovery"
-                    if recovered_fp == spec_fp
+                    if fingerprint == spec_fp
                     else f"recovered state is not the expected "
                     f"{expected}-block state ({recovered.describe()})"
-                )
-                report.divergences.append(
-                    Divergence(name, f"pipeline:{site}", leak)
-                )
-                continue
-            if check_roots and site in _ROOT_CHECK_SITES:
-                want_root = pre_root if expected == "pre" else post_root
-                if recovered.world.state_root() != want_root:
-                    report.divergences.append(
-                        Divergence(
-                            name,
-                            f"pipeline:{site}",
-                            f"MPT root differs from the {expected}-block root",
-                        )
-                    )
-                    continue
+                ),
+            )
 
             # Resume: a restarted process continues journaling over the
             # recovered (truncated-clean) medium.
             resumed = DurableCommitPipeline(medium, metrics=metrics)
             world = recovered.world
-            try:
+            with guarded("resume"):
                 if expected == "pre":
                     # N never committed: the speculation ran against a
                     # state that no longer exists — discard and redo both.
@@ -432,123 +494,44 @@ def pipelined_crash_sweep_block(
                         world, block_n1.txs, block_n1.env
                     )
                     resumed.commit(world, block_n1.number, redo_n1)
-                    report.speculations_discarded += 1
+                    report.counters["speculations_discarded"] += 1
                 else:
                     # N's commit survived: the recovered state is exactly
                     # the overlay the speculation ran against — salvage it.
                     resumed.commit(world, block_n1.number, spec_result)
-                    report.speculations_salvaged += 1
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(
-                        name, f"pipeline:{site}", f"resume raised {exc}"
-                    )
-                )
-                continue
+                    report.counters["speculations_salvaged"] += 1
             if world.fingerprint() != final_fp:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        f"pipeline:{site}",
-                        "resumed tip differs from the serial N,N+1 reference",
-                    )
+                raise SweepViolation(
+                    "resumed tip differs from the serial N,N+1 reference"
                 )
-                continue
             if check_roots and world.state_root() != final_root:
-                report.divergences.append(
-                    Divergence(
-                        name, f"pipeline:{site}", "resumed MPT root differs"
-                    )
-                )
-                continue
-            try:
+                raise SweepViolation("resumed MPT root differs")
+            with guarded("post-resume recovery"):
                 resumed_rec = recover(
                     medium, chain.fresh_world, metrics=metrics
                 )
-            except (DurabilityError, RecoveryError) as exc:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        f"pipeline:{site}",
-                        f"post-resume recovery raised {exc}",
-                    )
-                )
-                continue
             if resumed_rec.world.fingerprint() != final_fp:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        f"pipeline:{site}",
-                        f"recovery from the resumed journal diverged "
-                        f"({resumed_rec.describe()})",
-                    )
+                raise SweepViolation(
+                    f"recovery from the resumed journal diverged "
+                    f"({resumed_rec.describe()})"
                 )
 
-    if metrics is not None:
-        metrics.counter("crashfuzz_pipeline_blocks_total").inc()
-        if not report.ok:
-            metrics.counter("crashfuzz_failed_pipeline_blocks_total").inc()
-        metrics.counter("crashfuzz_crashes_total").inc(report.crashes_injected)
-    return report
+        return survive
+
+    return run_sweep(report, executors, setup, metrics)
 
 
 # ------------------------------------------------------------------- reorg
-
-
-@dataclass(slots=True)
-class ReorgRoundTripReport:
-    """One block's reorg round trip across executor configs."""
-
-    block_number: int
-    tx_count: int
-    depth: int
-    executors: list[str] = field(default_factory=list)
-    divergences: list[Divergence] = field(default_factory=list)
-    rollbacks: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    @property
-    def certification(self) -> CertificationReport:
-        return CertificationReport(
-            block_number=self.block_number,
-            tx_count=self.tx_count,
-            executors=list(self.executors),
-            divergences=list(self.divergences),
-        )
-
-    def describe(self) -> str:
-        head = (
-            f"reorg round trip block {self.block_number} "
-            f"({self.tx_count} txs, depth {self.depth}, "
-            f"{len(self.executors)} executors, {self.rollbacks} rollbacks): "
-        )
-        if self.ok:
-            return head + "fork state matches the serial reference"
-        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
-        lines += ["  " + d.describe() for d in self.divergences]
-        return "\n".join(lines)
-
-
-def _copy_block(number: int, txs, env) -> Block:
-    """A Block over *copies* of ``txs`` (``__post_init__`` renumbers them)."""
-    return Block(
-        number=number,
-        txs=[replace(tx) for tx in txs],
-        env=replace(env, number=number),
-    )
 
 
 def reorg_roundtrip_block(
     chain: Chain,
     block: Block,
     threads: int = 8,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] = EXECUTORS,
     check_roots: bool = True,
     metrics=None,
-) -> ReorgRoundTripReport:
+) -> SweepReport:
     """Certify undo-preimage rollback + fork re-execution per executor.
 
     ``block`` is split (contiguously, preserving per-sender nonce order)
@@ -559,17 +542,19 @@ def reorg_roundtrip_block(
     verify the final state — and a recovery from the post-reorg journal —
     against a serial reference of A+F.
     """
-    executors = CRASH_EXECUTORS if executors is None else executors
     txs = block.txs
     third = max(1, len(txs) // 3)
     base = block.number
-    ancestor = _copy_block(base, txs[:third], block.env)
-    main1 = _copy_block(base + 1, txs[third : 2 * third], block.env)
-    main2 = _copy_block(base + 2, txs[2 * third :], block.env)
-    fork = _copy_block(base + 1, txs[third:], block.env)
+    ancestor = copy_block(base, txs[:third], block.env)
+    main1 = copy_block(base + 1, txs[third : 2 * third], block.env)
+    main2 = copy_block(base + 2, txs[2 * third :], block.env)
+    fork = copy_block(base + 1, txs[third:], block.env)
 
-    report = ReorgRoundTripReport(
-        block_number=block.number, tx_count=len(block), depth=2
+    report = SweepReport(
+        "reorg",
+        block.number,
+        len(block),
+        counters={"reorg_depth": 2, "rollbacks": 0},
     )
 
     # Serial references: the ancestor state (the rollback target) and the
@@ -579,76 +564,50 @@ def reorg_roundtrip_block(
     ref.apply(serial.execute_block(ref, ancestor.txs, ancestor.env).writes)
     ancestor_fp = ref.fingerprint()
     ref.apply(serial.execute_block(ref, fork.txs, fork.env).writes)
-    fork_fp = ref.fingerprint()
-    fork_root = ref.state_root() if check_roots else None
+    fork_fp, fork_root = state_of(ref, check_roots)
 
-    for name, factory in executors.items():
-        report.executors.append(name)
-        executor = factory(threads)
-        medium = MemoryMedium()
-        pipeline = DurableCommitPipeline(medium, metrics=metrics)
-        world = chain.fresh_world()
-        try:
-            for canonical in (ancestor, main1, main2):
-                result = executor.execute_block(
-                    world, canonical.txs, canonical.env
-                )
-                pipeline.commit(world, canonical.number, result)
+    def setup(name: str):
+        executor = make_executor(name, threads)
 
-            manager = ReorgManager(pipeline, metrics=metrics)
-            undone = manager.rollback(world, ancestor.number)
-            report.rollbacks += 1
-            if undone != [main2.number, main1.number]:
-                report.divergences.append(
-                    Divergence(name, "reorg", f"unexpected undo set {undone}")
-                )
-                continue
-            if world.fingerprint() != ancestor_fp:
-                report.divergences.append(
-                    Divergence(
-                        name,
-                        "reorg",
-                        "rolled-back state differs from the serial "
-                        "ancestor reference",
+        def round_trip(_site: None) -> None:
+            medium = MemoryMedium()
+            pipeline = DurableCommitPipeline(medium, metrics=metrics)
+            world = chain.fresh_world()
+            with guarded("round trip"):
+                for canonical in (ancestor, main1, main2):
+                    result = executor.execute_block(
+                        world, canonical.txs, canonical.env
                     )
-                )
-                continue
+                    pipeline.commit(world, canonical.number, result)
 
-            result = executor.execute_block(world, fork.txs, fork.env)
-            pipeline.commit(world, fork.number, result)
-        except (DurabilityError, RecoveryError, ReorgDepthExceeded) as exc:
-            report.divergences.append(
-                Divergence(name, "reorg", f"round trip raised {exc}")
-            )
-            continue
+                manager = ReorgManager(pipeline, metrics=metrics)
+                undone = manager.rollback(world, ancestor.number)
+                report.counters["rollbacks"] += 1
+                if undone != [main2.number, main1.number]:
+                    raise SweepViolation(f"unexpected undo set {undone}")
+                if world.fingerprint() != ancestor_fp:
+                    raise SweepViolation(
+                        "rolled-back state differs from the serial "
+                        "ancestor reference"
+                    )
 
-        if world.fingerprint() != fork_fp:
-            report.divergences.append(
-                Divergence(
-                    name,
-                    "reorg",
-                    "post-reorg state differs from the serial A+F reference",
+                result = executor.execute_block(world, fork.txs, fork.env)
+                pipeline.commit(world, fork.number, result)
+
+            if world.fingerprint() != fork_fp:
+                raise SweepViolation(
+                    "post-reorg state differs from the serial A+F reference"
                 )
-            )
-            continue
-        if check_roots and world.state_root() != fork_root:
-            report.divergences.append(
-                Divergence(name, "reorg", "post-reorg MPT root differs")
-            )
-            continue
-        recovered = recover(medium, chain.fresh_world, metrics=metrics)
-        if recovered.world.fingerprint() != fork_fp:
-            report.divergences.append(
-                Divergence(
-                    name,
-                    "reorg",
+            if check_roots and world.state_root() != fork_root:
+                raise SweepViolation("post-reorg MPT root differs")
+            with guarded("post-reorg recovery"):
+                recovered = recover(medium, chain.fresh_world, metrics=metrics)
+            if recovered.world.fingerprint() != fork_fp:
+                raise SweepViolation(
                     f"recovery from the post-reorg journal diverged "
-                    f"({recovered.describe()})",
+                    f"({recovered.describe()})"
                 )
-            )
 
-    if metrics is not None:
-        metrics.counter("crashfuzz_reorg_roundtrips_total").inc()
-        if not report.ok:
-            metrics.counter("crashfuzz_failed_reorgs_total").inc()
-    return report
+        return round_trip
+
+    return run_sweep(report, executors, setup, metrics)

@@ -35,37 +35,41 @@ chaos harness's :class:`~repro.check.chaos.ChaosBlockReport` shape.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from ..concurrency import SerialExecutor
-from ..durability import (
-    CrashInjector,
-    SimulatedCrash,
-    enumerate_crash_sites,
-    site_expected_state,
-)
+from ..durability import enumerate_crash_sites
 from ..errors import (
     DurabilityError,
-    RecoveryError,
     ReplicaDivergence,
     ReplicationError,
     StaleEpoch,
 )
+from ..executors import EXECUTORS
 from ..replication import (
+    ClusterChain,
     ClusterConfig,
     FailoverPolicy,
     ReplicaConfig,
     ReplicatedChainService,
 )
-from ..workloads import Block
+from ..workloads import Block, copy_block
 from .certify import CertificationReport, Divergence
-from .crashfuzz import CRASH_EXECUTORS, _copy_block
+from .crashfuzz import (
+    SweepReport,
+    SweepViolation,
+    crash_at_site,
+    expect_state,
+    guarded,
+    run_sweep,
+    state_of,
+)
 from .fuzzer import BlockFuzzer, FuzzConfig
 from .ingress import ingress_seed
 
-# Sites where the sweep upgrades fingerprints to full MPT root equality.
-_ROOT_CHECK_SITES = frozenset({"pre-commit", "post-commit"})
+# Failures a cluster step may raise that the sweep records as violations.
+_CLUSTER_ERRORS = (DurabilityError, ReplicationError)
 
 
 def _synthetic_hashes(block: Block) -> list[bytes]:
@@ -91,9 +95,7 @@ def _serial_states(chain_world, blocks, check_roots: bool):
     states = []
     for block in blocks:
         world.apply(serial.execute_block(world, block.txs, block.env).writes)
-        states.append(
-            (world.fingerprint(), world.state_root() if check_roots else None)
-        )
+        states.append(state_of(world, check_roots))
     return states
 
 
@@ -104,22 +106,9 @@ class _Fixture:
     fuzzer: BlockFuzzer
     blocks: list[Block]
 
-    @property
-    def base(self) -> int:
-        return self.fuzzer.chain.env.number
-
-    def chainlike(self):
-        return _SweepChain(self.fuzzer.chain.fresh_world(), self.fuzzer.chain.env)
-
-
-class _SweepChain:
-    """The chain surface a cluster needs, over a per-run fresh world."""
-
-    __slots__ = ("world", "env")
-
-    def __init__(self, world, env) -> None:
-        self.world = world
-        self.env = env
+    def chainlike(self) -> ClusterChain:
+        chain = self.fuzzer.chain
+        return ClusterChain(chain.fresh_world(), chain.env)
 
 
 def _fixture(seed: int, blocks: int, txs_per_block: int) -> _Fixture:
@@ -130,54 +119,10 @@ def _fixture(seed: int, blocks: int, txs_per_block: int) -> _Fixture:
     )
     base = fuzzer.chain.env.number
     prepared = [
-        _copy_block(base + i, fuzzer.block(seed + i).txs, fuzzer.chain.env)
+        copy_block(base + i, fuzzer.block(seed + i).txs, fuzzer.chain.env)
         for i in range(blocks)
     ]
     return _Fixture(fuzzer, prepared)
-
-
-@dataclass(slots=True)
-class FailoverSweepReport:
-    """Crash sites × executor configs, each ending in a verified promotion."""
-
-    block_number: int
-    tx_count: int
-    sites: list[str] = field(default_factory=list)
-    executors: list[str] = field(default_factory=list)
-    divergences: list[Divergence] = field(default_factory=list)
-    crashes_injected: int = 0
-    failovers: int = 0
-    stale_frames_rejected: int = 0
-    requeued_blocks: int = 0
-    max_failover_us: float = 0.0
-    min_failover_us: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-    @property
-    def certification(self) -> CertificationReport:
-        return CertificationReport(
-            block_number=self.block_number,
-            tx_count=self.tx_count,
-            executors=list(self.executors),
-            divergences=list(self.divergences),
-        )
-
-    def describe(self) -> str:
-        head = (
-            f"failover sweep block {self.block_number} ({self.tx_count} txs, "
-            f"{len(self.sites)} sites x {len(self.executors)} executors, "
-            f"{self.failovers} failovers, {self.stale_frames_rejected} stale "
-            f"frames fenced, failover {self.min_failover_us:.0f}-"
-            f"{self.max_failover_us:.0f}us): "
-        )
-        if self.ok:
-            return head + "RPO=0 at every site"
-        lines = [head + f"{len(self.divergences)} VIOLATIONS"]
-        lines += ["  " + d.describe() for d in self.divergences]
-        return "\n".join(lines)
 
 
 def failover_sweep(
@@ -185,113 +130,93 @@ def failover_sweep(
     warmup_blocks: int = 2,
     txs_per_block: int = 6,
     threads: int = 4,
-    executors: dict[str, Callable] | None = None,
+    executors: Sequence[str] = EXECUTORS,
     replicas: int = 2,
     policy: FailoverPolicy | None = None,
     check_roots: bool = True,
     metrics=None,
-) -> FailoverSweepReport:
+) -> SweepReport:
     """Certify zero-loss failover at every commit crash site, per executor."""
-    executors = CRASH_EXECUTORS if executors is None else executors
     policy = policy or FailoverPolicy()
     fixture = _fixture(fuzz_seed, warmup_blocks + 1, txs_per_block)
-    warmups, crash_block = fixture.blocks[:-1], fixture.blocks[-1]
+    crash_block = fixture.blocks[-1]
     sites = enumerate_crash_sites(len(crash_block.txs), checkpoint=False)
 
     states = _serial_states(
         fixture.fuzzer.chain.fresh_world(), fixture.blocks, check_roots
     )
-    pre_fp, pre_root = states[warmup_blocks - 1]
-    post_fp, post_root = states[warmup_blocks]
-
-    report = FailoverSweepReport(
-        block_number=crash_block.number,
-        tx_count=len(crash_block.txs),
-        sites=sites,
+    report = SweepReport(
+        "failover",
+        crash_block.number,
+        len(crash_block.txs),
+        sites,
+        counters={
+            "crash_sites": len(sites),
+            "crashes_injected": 0,
+            "failovers": 0,
+            "stale_frames_rejected": 0,
+            "requeued_blocks": 0,
+            "min_failover_us": 0.0,
+            "max_failover_us": 0.0,
+        },
     )
 
-    for name, factory in executors.items():
-        report.executors.append(name)
-        for site in sites:
-            diverged = _sweep_one(
-                name,
-                factory,
-                site,
-                fixture,
-                warmups,
-                crash_block,
-                (pre_fp, pre_root),
-                (post_fp, post_root),
-                threads=threads,
-                replicas=replicas,
-                policy=policy,
-                check_roots=check_roots,
-                metrics=metrics,
-                report=report,
-            )
-            if diverged is not None:
-                report.divergences.append(diverged)
+    def setup(name: str):
+        config = ClusterConfig(
+            executor=name, replicas=replicas, threads=threads, policy=policy
+        )
+        return lambda site: _fail_over_at(
+            site,
+            config,
+            fixture,
+            states,
+            check_roots=check_roots,
+            metrics=metrics,
+            report=report,
+        )
 
-    if metrics is not None:
-        metrics.counter("replication_sweeps_total").inc()
-        if not report.ok:
-            metrics.counter("replication_failed_sweeps_total").inc()
-    return report
+    return run_sweep(report, executors, setup, metrics)
 
 
-def _sweep_one(
-    name: str,
-    factory: Callable,
+def _fail_over_at(
     site: str,
+    config: ClusterConfig,
     fixture: _Fixture,
-    warmups: list[Block],
-    crash_block: Block,
-    pre_state,
-    post_state,
+    states: list[tuple],
     *,
-    threads: int,
-    replicas: int,
-    policy: FailoverPolicy,
     check_roots: bool,
     metrics,
-    report: FailoverSweepReport,
-) -> Divergence | None:
-    """One (executor, site) pair; returns a Divergence or None."""
-    where = f"failover:{site}"
-    pre_fp, pre_root = pre_state
-    post_fp, post_root = post_state
+    report: SweepReport,
+) -> None:
+    """The failover survivor step: crash the primary at ``site``, promote.
+
+    The fixture's last block is the one the primary dies committing;
+    ``states`` holds the serial reference after each fixture block.
+    """
+    warmups, crash_block = fixture.blocks[:-1], fixture.blocks[-1]
+    pre_state, post_state = states[-2], states[-1]
+    policy = config.policy
+    counters = report.counters
     cluster = ReplicatedChainService(
-        fixture.chainlike(),
-        factory,
-        ClusterConfig(replicas=replicas, threads=threads, policy=policy),
-        metrics=metrics,
+        fixture.chainlike(), config, metrics=metrics
     )
-    try:
+    with guarded("warm-up", _CLUSTER_ERRORS):
         for block in warmups:
             cluster.ingest_block(block, tx_hashes=_synthetic_hashes(block))
-    except (DurabilityError, RecoveryError, ReplicationError) as exc:
-        return Divergence(name, where, f"warm-up raised {exc}")
     for replica in cluster.replicas:
         if replica.last_committed_block != warmups[-1].number:
-            return Divergence(
-                name, where, f"{replica.name} fell behind during warm-up"
-            )
+            raise SweepViolation(f"{replica.name} fell behind during warm-up")
 
     # -- crash the primary mid-commit at exactly this site ---------------
-    injector = CrashInjector(site)
     pipeline = cluster.service.executor.durability
-    pipeline.crash = injector
-    pipeline.journal.crash = injector
     crash_hashes = _synthetic_hashes(crash_block)
-    try:
+
+    def crashing_commit(injector) -> None:
+        pipeline.crash = injector
+        pipeline.journal.crash = injector
         cluster.ingest_block(crash_block, tx_hashes=crash_hashes)
-    except SimulatedCrash:
-        pass
-    except (DurabilityError, RecoveryError) as exc:
-        return Divergence(name, where, f"crashed commit raised {exc}")
-    if not injector.fired:
-        return Divergence(name, where, "site never fired")
-    report.crashes_injected += 1
+
+    crash_at_site(report, site, crashing_commit, step="crashed commit")
     pipeline.crash = None
     pipeline.journal.crash = None
 
@@ -300,103 +225,89 @@ def _sweep_one(
     cluster.fail_primary(now)
     lost_at = now + policy.heartbeat_timeout_us + 1.0
     if not cluster.controller.primary_lost(lost_at):
-        return Divergence(name, where, "heartbeat timeout never detected")
-    try:
+        raise SweepViolation("heartbeat timeout never detected")
+    with guarded("failover", _CLUSTER_ERRORS):
         promotion = cluster.failover(lost_at)
-    except (ReplicationError, DurabilityError, RecoveryError) as exc:
-        return Divergence(name, where, f"failover raised {exc}")
-    report.failovers += 1
+    counters["failovers"] += 1
     total_us = promotion.total_us
-    if report.min_failover_us == 0.0 or total_us < report.min_failover_us:
-        report.min_failover_us = total_us
-    report.max_failover_us = max(report.max_failover_us, total_us)
+    fastest = counters["min_failover_us"]
+    counters["min_failover_us"] = (
+        total_us if fastest == 0.0 else min(fastest, total_us)
+    )
+    counters["max_failover_us"] = max(counters["max_failover_us"], total_us)
     if total_us < policy.heartbeat_timeout_us:
-        return Divergence(
-            name, where, "failover time excludes the detection window"
-        )
+        raise SweepViolation("failover time excludes the detection window")
 
-    expected = site_expected_state(site)
-    want_fp = pre_fp if expected == "pre" else post_fp
-    want_blocks = len(warmups) + (0 if expected == "pre" else 1)
-    promoted_fp = cluster.service.world.fingerprint()
-    if promoted_fp != want_fp:
-        return Divergence(
-            name,
-            where,
+    expected = expect_state(
+        cluster.service.world,
+        site,
+        pre_state,
+        post_state,
+        check_roots,
+        lambda expected, _: (
             f"promoted state is not the expected {expected}-crash state "
-            f"(sealed blocks were lost or invented: RPO violated)",
-        )
+            f"(sealed blocks were lost or invented: RPO violated)"
+        ),
+        wrong_root="promoted MPT root differs from the {expected} root",
+    )
+    want_blocks = len(warmups) + (0 if expected == "pre" else 1)
     if promotion.blocks_preserved != want_blocks:
-        return Divergence(
-            name,
-            where,
+        raise SweepViolation(
             f"promotion preserved {promotion.blocks_preserved} blocks, "
-            f"expected {want_blocks}",
+            f"expected {want_blocks}"
         )
-    if check_roots and site in _ROOT_CHECK_SITES:
-        want_root = pre_root if expected == "pre" else post_root
-        if cluster.service.world.state_root() != want_root:
-            return Divergence(
-                name, where, f"promoted MPT root differs from the {expected} root"
-            )
 
     # -- the zombie window: a deposed primary keeps writing ---------------
     survivors = cluster.healthy_replicas()
     survivor_fps = {r.name: r.world.fingerprint() for r in survivors}
     zombie = cluster.previous_service
-    try:
+    with guarded("zombie commit"):
         zombie.ingest_block(crash_block, tx_hashes=crash_hashes)
-    except (DurabilityError, RecoveryError) as exc:
-        return Divergence(name, where, f"zombie commit raised {exc}")
     for replica in survivors:
         before = replica.stale_frames_rejected
         try:
             replica.poll(lost_at, max_frames=0)
         except Exception as exc:  # noqa: BLE001 — any raise here is a bug
-            return Divergence(
-                name, where, f"{replica.name} raised on zombie frames: {exc}"
-            )
+            raise SweepViolation(
+                f"{replica.name} raised on zombie frames: {exc}"
+            ) from exc
         rejected = replica.stale_frames_rejected - before
         if rejected == 0:
-            return Divergence(
-                name, where, f"{replica.name} accepted a deposed primary's frames"
+            raise SweepViolation(
+                f"{replica.name} accepted a deposed primary's frames"
             )
         if not any(isinstance(e, StaleEpoch) for e in replica.stale_rejections):
-            return Divergence(
-                name, where, f"{replica.name} kept no typed StaleEpoch evidence"
+            raise SweepViolation(
+                f"{replica.name} kept no typed StaleEpoch evidence"
             )
         if replica.world.fingerprint() != survivor_fps[replica.name]:
-            return Divergence(
-                name, where, f"zombie frames mutated {replica.name}'s state"
+            raise SweepViolation(
+                f"zombie frames mutated {replica.name}'s state"
             )
-        report.stale_frames_rejected += rejected
+        counters["stale_frames_rejected"] += rejected
 
     # -- converge: re-queue the lost block, survivors follow the new feed -
     cluster.rebase_survivors()
-    try:
+    with guarded("post-failover serving", _CLUSTER_ERRORS):
         if expected == "pre":
             cluster.ingest_block(crash_block, tx_hashes=crash_hashes)
-            report.requeued_blocks += 1
+            counters["requeued_blocks"] += 1
         else:
             cluster.poll_replicas(lost_at)
-    except (DurabilityError, RecoveryError, ReplicationError) as exc:
-        return Divergence(name, where, f"post-failover serving raised {exc}")
+    post_fp = post_state[0]
     if cluster.service.world.fingerprint() != post_fp:
-        return Divergence(
-            name, where, "promoted chain did not converge to the full reference"
+        raise SweepViolation(
+            "promoted chain did not converge to the full reference"
         )
     for replica in cluster.healthy_replicas():
         if replica.last_committed_block != crash_block.number:
-            return Divergence(
-                name,
-                where,
-                f"{replica.name} did not follow the promoted primary's feed",
+            raise SweepViolation(
+                f"{replica.name} did not follow the promoted primary's feed"
             )
         if replica.world.fingerprint() != post_fp:
-            return Divergence(
-                name, where, f"{replica.name} diverged on the promoted feed"
+            raise SweepViolation(
+                f"{replica.name} diverged on the promoted feed"
             )
-    return None
 
 
 # ------------------------------------------------------------- chaos modes
@@ -415,7 +326,7 @@ def run_replication_scenario(
     block the generic harness passes around plays no role (reproduce with
     ``(scenario, seed)``, exactly like the ingress scenarios).
     """
-    from .chaos import ChaosBlockReport
+    from .chaos import chaos_report
 
     mode = scenario.replication.get("mode", "primary-crash")
     seed_int = ingress_seed(seed)
@@ -427,14 +338,8 @@ def run_replication_scenario(
             metrics=metrics,
         )
         certification = sweep.certification
-        counters = {
-            "crash_sites": float(len(sweep.sites)),
-            "failovers": float(sweep.failovers),
-            "stale_frames_rejected": float(sweep.stale_frames_rejected),
-            "requeued_blocks": float(sweep.requeued_blocks),
-            "max_failover_us": sweep.max_failover_us,
-        }
-        faults = float(sweep.failovers)
+        counters = {name: float(value) for name, value in sweep.counters.items()}
+        faults = counters["failovers"]
     elif mode == "laggy-replica":
         certification, counters, faults = _laggy_replica_scenario(
             seed_int, threads, metrics
@@ -449,20 +354,8 @@ def run_replication_scenario(
         )
     else:
         raise ValueError(f"unknown replication scenario mode {mode!r}")
-
-    if metrics is not None:
-        metrics.counter("chaos_blocks_total", scenario=scenario.name).inc()
-        if not certification.ok:
-            metrics.counter(
-                "chaos_failed_blocks_total", scenario=scenario.name
-            ).inc()
-    return ChaosBlockReport(
-        scenario=scenario.name,
-        seed=seed,
-        certification=certification,
-        deadline_us=0.0,
-        counters=counters,
-        faults_injected=faults,
+    return chaos_report(
+        scenario, seed, certification, counters, faults, metrics
     )
 
 
@@ -479,9 +372,11 @@ def _scenario_cluster(
 ) -> ReplicatedChainService:
     return ReplicatedChainService(
         fixture.chainlike(),
-        CRASH_EXECUTORS[_SCENARIO_EXECUTOR],
         ClusterConfig(
-            replicas=2, threads=threads, policy=policy or FailoverPolicy()
+            executor=_SCENARIO_EXECUTOR,
+            replicas=2,
+            threads=threads,
+            policy=policy or FailoverPolicy(),
         ),
         metrics=metrics,
         replica_configs=replica_configs,
@@ -589,7 +484,7 @@ def _corrupt_feed_scenario(seed: int, threads: int, metrics):
         promotion = cluster.failover(
             now + cluster.controller.policy.heartbeat_timeout_us + 1.0
         )
-    except (ReplicationError, DurabilityError, RecoveryError) as exc:
+    except _CLUSTER_ERRORS as exc:
         divergences.append(
             Divergence(_SCENARIO_EXECUTOR, "corrupt-feed", f"failover raised {exc}")
         )
@@ -654,7 +549,7 @@ def _divergent_replica_scenario(seed: int, threads: int, metrics):
         promotion = cluster.failover(
             now + cluster.controller.policy.heartbeat_timeout_us + 1.0
         )
-    except (ReplicationError, DurabilityError, RecoveryError) as exc:
+    except _CLUSTER_ERRORS as exc:
         divergences.append(
             Divergence(
                 _SCENARIO_EXECUTOR, "divergent-replica", f"failover raised {exc}"

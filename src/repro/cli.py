@@ -29,16 +29,10 @@ import sys
 from .analysis.conflict_graph import analyze_block
 from .bench import experiments as exp
 from .bench.harness import executor_suite, standard_chain, standard_workload
-from .bench.suite import (
-    EXECUTOR_FACTORIES,
-    SUITES,
-    compare_bench,
-    load_bench,
-    run_suite,
-    to_json,
-)
+from .bench.suite import SUITES, compare_bench, load_bench, run_suite, to_json
 from .concurrency import SerialExecutor
 from .core.executor import ParallelEVMExecutor
+from .executors import EXECUTORS, make_executor
 from .obs import BlockObserver, render_block_report, structural_bound_lines
 
 EXPERIMENTS = {
@@ -109,19 +103,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-# Executors addressable by ``repro run --executor`` (superset of the
-# Table 1 suite: adds serial, Saraph-Herlihy two-phase and §6.3 preexec).
-# Shared with the benchmark suite so `bench` and `run` agree on names.
-RUN_EXECUTORS = EXECUTOR_FACTORIES
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     chain = standard_chain(accounts=args.accounts)
     workload = standard_workload(chain, args.txs)
     block = workload.block(args.block)
 
     observer = BlockObserver()
-    executor = RUN_EXECUTORS[args.executor](args.threads, observer)
+    executor = make_executor(args.executor, args.threads, observer=observer)
     world = chain.fresh_world()
     result = executor.execute_block(world, block.txs, block.env)
 
@@ -540,6 +528,7 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
             policy=policy,
             metrics=metrics,
         )
+        counters = report.counters
         line = json.dumps(
             {
                 "seed": seed,
@@ -548,12 +537,12 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
                 "tx_count": report.tx_count,
                 "sites": len(report.sites),
                 "executors": len(report.executors),
-                "crashes_injected": report.crashes_injected,
-                "failovers": report.failovers,
-                "stale_frames_rejected": report.stale_frames_rejected,
-                "requeued_blocks": report.requeued_blocks,
-                "min_failover_us": round(report.min_failover_us, 3),
-                "max_failover_us": round(report.max_failover_us, 3),
+                "crashes_injected": counters["crashes_injected"],
+                "failovers": counters["failovers"],
+                "stale_frames_rejected": counters["stale_frames_rejected"],
+                "requeued_blocks": counters["requeued_blocks"],
+                "min_failover_us": round(counters["min_failover_us"], 3),
+                "max_failover_us": round(counters["max_failover_us"], 3),
                 "divergences": [d.describe() for d in report.divergences],
             },
             sort_keys=True,
@@ -647,7 +636,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     chain = build_chain(ChainSpec(accounts=args.accounts, seed=args.seed))
     metrics = MetricsRegistry()
-    executor = RUN_EXECUTORS[args.executor](args.threads, None)
+    executor = make_executor(args.executor, args.threads)
     service = ChainService(None, executor, chain=chain)
     mempool = Mempool(
         MempoolConfig(
@@ -883,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", help="run one block under one executor, with trace/metrics export"
     )
-    run.add_argument("--executor", choices=sorted(RUN_EXECUTORS), default="parallelevm")
+    run.add_argument("--executor", choices=sorted(EXECUTORS), default="parallelevm")
     run.add_argument("--txs", type=int, default=60)
     run.add_argument("--threads", type=int, default=16)
     run.add_argument("--accounts", type=int, default=200)
@@ -1067,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="blocks per telemetry window (one JSONL line each)",
     )
     soak.add_argument(
-        "--executor", choices=sorted(RUN_EXECUTORS), default="parallelevm"
+        "--executor", choices=sorted(EXECUTORS), default="parallelevm"
     )
     soak.add_argument("--threads", type=int, default=8)
     soak.add_argument(
@@ -1183,7 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8545)
     serve.add_argument(
-        "--executor", choices=sorted(RUN_EXECUTORS), default="parallelevm"
+        "--executor", choices=sorted(EXECUTORS), default="parallelevm"
     )
     serve.add_argument("--threads", type=int, default=4)
     serve.add_argument("--accounts", type=int, default=192)
@@ -1227,7 +1216,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--blocks", type=int, default=40)
     loadgen.add_argument("--txs", type=int, default=16, help="txs per block")
     loadgen.add_argument(
-        "--executor", choices=sorted(RUN_EXECUTORS), default="parallelevm"
+        "--executor", choices=sorted(EXECUTORS), default="parallelevm"
     )
     loadgen.add_argument("--threads", type=int, default=4)
     loadgen.add_argument("--accounts", type=int, default=192)

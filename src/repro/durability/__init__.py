@@ -24,6 +24,7 @@ benchmark makespans are bit-identical to a build without this package.
 from .checkpoint import encode_snapshot, decode_snapshot, latest_valid_snapshot
 from .commit import DurableCommitPipeline, delta_digest
 from .crash import (
+    ROOT_CHECK_SITES,
     CrashInjector,
     SimulatedCrash,
     enumerate_crash_sites,
@@ -56,6 +57,7 @@ __all__ = [
     "JOURNAL_MAGIC",
     "JournalScan",
     "MemoryMedium",
+    "ROOT_CHECK_SITES",
     "RecoveryResult",
     "ReorgManager",
     "SealRecord",

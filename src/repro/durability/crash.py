@@ -49,6 +49,13 @@ _POST_MARKER_SITES = frozenset(
 )
 
 
+# The two sites bracketing the atomicity boundary, where the crash sweeps
+# upgrade the fingerprint comparison to full MPT state-root equality: a
+# torn hybrid of pre- and post-block state would hide there if
+# fingerprints ever collided.
+ROOT_CHECK_SITES = frozenset({"pre-commit", "post-commit"})
+
+
 class SimulatedCrash(ReproError):
     """The process died at a named crash site (crash-fuzzing only).
 

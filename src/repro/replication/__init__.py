@@ -29,12 +29,18 @@ package unless replication is explicitly attached, and benchmarks are
 byte-identical with it detached.
 """
 
-from .cluster import ClusterConfig, ReplicatedChainService, ReplicationView
+from .cluster import (
+    ClusterChain,
+    ClusterConfig,
+    ReplicatedChainService,
+    ReplicationView,
+)
 from .failover import FailoverController, FailoverPolicy, FailoverReport
 from .replica import ReplicaConfig, ReplicaService
 from .ship import ShipFeed, ShippingMedium
 
 __all__ = [
+    "ClusterChain",
     "ClusterConfig",
     "FailoverController",
     "FailoverPolicy",

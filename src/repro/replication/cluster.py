@@ -41,6 +41,7 @@ from ..durability.checkpoint import encode_snapshot
 from ..durability.commit import DurableCommitPipeline
 from ..durability.medium import MemoryMedium
 from ..errors import JournalCorruptionError, ReplicationError
+from ..executors import make_executor
 from ..obs.lifecycle import FlightRecorder
 from ..service.chain_service import ChainService
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
@@ -51,8 +52,9 @@ from .ship import ShipFeed, ShippingMedium
 
 @dataclass(slots=True, frozen=True)
 class ClusterConfig:
-    """Cluster shape: replica count, commit knobs, failover policy."""
+    """Cluster shape: executor, replica count, commit knobs, failover policy."""
 
+    executor: str = "parallelevm"
     replicas: int = 2
     threads: int = 8
     checkpoint_interval: int = 0
@@ -60,8 +62,8 @@ class ClusterConfig:
     policy: FailoverPolicy = field(default_factory=FailoverPolicy)
 
 
-class _ClusterChain:
-    """The minimal chain surface a promoted service needs (world + env)."""
+class ClusterChain:
+    """The minimal chain surface a cluster needs (world + env)."""
 
     __slots__ = ("world", "env")
 
@@ -115,12 +117,12 @@ class ReplicationView:
 class ReplicatedChainService:
     """A :class:`ChainService` primary shipping its journal to replicas.
 
-    ``executor_factory`` is a ``threads -> BlockExecutor`` callable (the
-    :data:`~repro.check.crashfuzz.CRASH_EXECUTORS` shape); the factory is
-    re-invoked on promotion so the successor gets a fresh executor wired
-    to the successor's pipeline.  The wrapped ``chain`` must be eagerly
-    funded (``Chain.world`` already holding every account the workload
-    will touch) — replicas see only journal bytes, so out-of-band world
+    The executor is named by ``config.executor`` (any
+    :data:`~repro.executors.EXECUTORS` name) and built afresh on
+    promotion, so the successor's executor is wired to the successor's
+    pipeline.  The wrapped ``chain`` must be eagerly funded
+    (``Chain.world`` already holding every account the workload will
+    touch) — replicas see only journal bytes, so out-of-band world
     mutation during block *generation* would silently diverge them; the
     stream harnesses pre-generate blocks for exactly this reason.
     """
@@ -128,7 +130,6 @@ class ReplicatedChainService:
     def __init__(
         self,
         chain,
-        executor_factory,
         config: ClusterConfig | None = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         metrics=None,
@@ -136,7 +137,6 @@ class ReplicatedChainService:
         replica_configs: dict[str, ReplicaConfig] | None = None,
     ) -> None:
         self.chain = chain
-        self.executor_factory = executor_factory
         self.config = config or ClusterConfig()
         self.cost_model = cost_model
         self.metrics = metrics
@@ -164,7 +164,7 @@ class ReplicatedChainService:
             metrics=metrics,
             epoch=self.controller.epoch,
         )
-        executor = executor_factory(self.config.threads)
+        executor = make_executor(self.config.executor, self.config.threads)
         executor.durability = pipeline
         self.service = ChainService(
             None, executor, observer=observer, chain=chain
@@ -301,14 +301,14 @@ class ReplicatedChainService:
             metrics=self.metrics,
             epoch=epoch,
         )
-        executor = self.executor_factory(self.config.threads)
+        executor = make_executor(self.config.executor, self.config.threads)
         executor.durability = pipeline
         old_service = self.service
         new_service = ChainService(
             None,
             executor,
             observer=self.observer,
-            chain=_ClusterChain(new_world, self.chain.env),
+            chain=ClusterChain(new_world, self.chain.env),
         )
         new_service.height = (
             last_committed + 1

@@ -26,7 +26,7 @@ import heapq
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..bench.suite import EXECUTOR_FACTORIES
+from ..executors import make_executor
 from ..mempool.pool import Mempool, MempoolConfig
 from ..obs.lifecycle import (
     DEGRADATION_COUNTERS,
@@ -260,7 +260,7 @@ def run_ingress(
     genesis = chain.world.clone()
     registry = MetricsRegistry(label_limit=config.label_limit)
     observer = SoakObserver(metrics=registry)
-    executor = EXECUTOR_FACTORIES[config.executor](config.threads, observer)
+    executor = make_executor(config.executor, config.threads, observer=observer)
     pipeline = None
     if config.pipeline:
         from ..pipeline import PipelineConfig, PipelineCoordinator
@@ -502,7 +502,7 @@ def run_ingress(
             divergences.append("untyped rejection observed")
 
     # -- serial equivalence ---------------------------------------------
-    serial = EXECUTOR_FACTORIES["serial"](1, None)
+    serial = make_executor("serial", 1)
     for index, block in enumerate(facade.committed_blocks):
         result = serial.execute_block(genesis, block.txs, block.env)
         serial.commit_block(genesis, block.number, result)

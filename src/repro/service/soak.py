@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..bench.suite import EXECUTOR_FACTORIES
+from ..executors import make_executor
 from ..obs.lifecycle import (
     DEGRADATION_COUNTERS,
     FlightRecorder,
@@ -262,7 +262,7 @@ def _run_soak_loadgen(config: SoakConfig, out, progress) -> SoakReport:
     chain = build_stream_chain(spec, cache_capacity=config.cache_capacity)
     registry = MetricsRegistry(label_limit=config.label_limit)
     observer = SoakObserver(metrics=registry)
-    executor = EXECUTOR_FACTORIES[config.executor](config.threads, observer)
+    executor = make_executor(config.executor, config.threads, observer=observer)
     executor.durability = _durability(config, registry)
     service = ChainService(
         None,
@@ -456,7 +456,7 @@ def run_soak(config: SoakConfig, out=None, progress=None) -> SoakReport:
     stream = BlockStream(chain)
     registry = MetricsRegistry(label_limit=config.label_limit)
     observer = SoakObserver(metrics=registry)
-    executor = EXECUTOR_FACTORIES[config.executor](config.threads, observer)
+    executor = make_executor(config.executor, config.threads, observer=observer)
     executor.durability = _durability(config, registry)
     slo = (
         SloMonitor(config.slo_config, metrics=registry)

@@ -9,7 +9,7 @@ accounts (each pre-approving every AMM pair, as real DEX users do).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..contracts import (
     AMM,
@@ -49,6 +49,20 @@ class Block:
 
     def __len__(self) -> int:
         return len(self.txs)
+
+
+def copy_block(number: int, txs: list[Transaction], env: BlockEnv) -> Block:
+    """Block ``number`` over *copies* of ``txs``.
+
+    ``Block.__post_init__`` renumbers its transactions from 0, so cutting
+    one generated block into several must copy them first, or each piece
+    would rewrite the original's ``tx_index`` values.
+    """
+    return Block(
+        number=number,
+        txs=[replace(tx) for tx in txs],
+        env=replace(env, number=number),
+    )
 
 
 @dataclass(slots=True)

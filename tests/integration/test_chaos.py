@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import (
-    CHAOS_EXECUTORS,
-    BlockFuzzer,
-    FuzzConfig,
-    run_chaos_block,
-)
+from repro.check import BlockFuzzer, FuzzConfig, run_chaos_block
 from repro.cli import main
 from repro.concurrency import SerialExecutor
 from repro.core.executor import ParallelEVMExecutor
+from repro.executors import EXECUTORS, make_executor
 from repro.obs import MetricsRegistry, degradation_table
 from repro.resilience import SCENARIOS, FaultConfig, FaultPlan, RecoveryPolicy
 from repro.workloads import ChainSpec, build_chain, conflict_ratio_block
@@ -55,9 +51,9 @@ class TestChaosSuite:
         elif kind == "replication":
             # Cluster hazards: the sweep covers every executor config,
             # the targeted hazards pin one.
-            assert set(report.certification.executors) <= set(CHAOS_EXECUTORS)
+            assert set(report.certification.executors) <= set(EXECUTORS)
         else:
-            assert set(report.certification.executors) == set(CHAOS_EXECUTORS)
+            assert set(report.certification.executors) == set(EXECUTORS)
         assert report.faults_injected > 0, "scenario injected nothing"
 
     def test_chaos_runs_replay_from_seed(self, fuzzer, block):
@@ -79,7 +75,7 @@ class TestChaosSuite:
         assert report.ok, report.describe()
         per_executor = metrics.labelled_values("resilience_cache_drops")
         assert {dict(k)["executor"] for k in per_executor} == set(
-            CHAOS_EXECUTORS
+            EXECUTORS
         )
         assert metrics.sum_by_name("resilience_cache_drops") == pytest.approx(
             report.counters["cache_drops"]
@@ -93,20 +89,12 @@ class TestDisabledInjectionIsFree:
     def test_zero_rate_plan_leaves_makespans_bit_identical(self, fuzzer, block):
         # The determinism contract: attaching the resilience layer with no
         # faults enabled must not move a single simulated microsecond.
-        from repro.check.chaos import chaos_executors
-
-        quiet = type(SCENARIOS["havoc"])(
-            name="quiet", description="all rates zero", config=FaultConfig()
-        )
-        factories, _plans = chaos_executors(quiet, 0, RecoveryPolicy())
-        for name, factory in factories.items():
-            baseline = factory(4, None)
-            baseline.fault_plan = None
-            baseline.recovery = None
-            plain = baseline.execute_block(
+        for name in EXECUTORS:
+            plan = FaultPlan(f"0:quiet:{name}", FaultConfig(), RecoveryPolicy())
+            plain = make_executor(name, 4).execute_block(
                 fuzzer.chain.fresh_world(), block.txs, block.env
             )
-            quiet_run = factory(4, None).execute_block(
+            quiet_run = make_executor(name, 4, fault_plan=plan).execute_block(
                 fuzzer.chain.fresh_world(), block.txs, block.env
             )
             assert quiet_run.makespan_us == plain.makespan_us, name
@@ -158,10 +146,10 @@ class TestSerialFallbacks:
         )
         assert report.ok, report.describe()
         # Everyone except the serial baseline runs against the deadline.
-        assert report.counters["deadline_aborts"] == len(CHAOS_EXECUTORS) - 1
+        assert report.counters["deadline_aborts"] == len(EXECUTORS) - 1
         assert (
             report.counters["serial_block_fallbacks"]
-            == len(CHAOS_EXECUTORS) - 1
+            == len(EXECUTORS) - 1
         )
 
     def test_fallback_result_charges_the_burned_parallel_time(self):

@@ -12,14 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.check import (
-    CRASH_EXECUTORS,
     BlockFuzzer,
     FuzzConfig,
     crash_sweep_block,
     reorg_roundtrip_block,
     run_chaos_block,
 )
-from repro.concurrency import SerialExecutor
 from repro.core.executor import ParallelEVMExecutor
 from repro.durability import (
     DurableCommitPipeline,
@@ -27,6 +25,7 @@ from repro.durability import (
     enumerate_crash_sites,
     recover,
 )
+from repro.executors import EXECUTORS
 from repro.obs import MetricsRegistry
 
 FAST = FuzzConfig(txs_per_block=8)
@@ -55,18 +54,18 @@ class TestCrashSweep:
         assert report.ok, report.describe()
         sites = enumerate_crash_sites(len(block.txs), checkpoint=True)
         assert report.sites == sites
-        assert sorted(report.executors) == sorted(CRASH_EXECUTORS)
+        assert sorted(report.executors) == sorted(EXECUTORS)
         # Every (site, executor) pair crashed once and recovered once; a
         # site that silently stopped firing would be a divergence instead.
-        expected = len(sites) * len(CRASH_EXECUTORS)
-        assert report.crashes_injected == expected
-        assert report.recoveries == expected
+        expected = len(sites) * len(EXECUTORS)
+        assert report.counters["crashes_injected"] == expected
+        assert report.counters["recoveries"] == expected
         assert metrics.value("crashfuzz_blocks_total") == 1
         assert metrics.value("crashfuzz_failed_blocks_total") is None
 
     def test_sweep_report_shares_the_certification_plumbing(self, fuzzer, block):
         report = crash_sweep_block(
-            fuzzer.chain, block, threads=4, executors={"serial": lambda t: SerialExecutor()}
+            fuzzer.chain, block, threads=4, executors=("serial",)
         )
         cert = report.certification
         assert cert.ok
@@ -89,14 +88,18 @@ class TestPipelinedCrashSweep:
         assert report.ok, report.describe()
         sites = enumerate_crash_sites(len(block.txs) // 2, checkpoint=False)
         assert report.sites == sites
-        expected = len(sites) * len(CRASH_EXECUTORS)
-        assert report.crashes_injected == expected
-        assert report.recoveries == expected
+        expected = len(sites) * len(EXECUTORS)
+        assert report.counters["crashes_injected"] == expected
+        assert report.counters["recoveries"] == expected
         # Pre-marker crashes discard the speculation; post-marker crashes
         # salvage it.  Together they cover every (site, executor) pair.
-        assert report.speculations_discarded + report.speculations_salvaged == expected
-        assert report.speculations_discarded > 0
-        assert report.speculations_salvaged > 0
+        assert (
+            report.counters["speculations_discarded"]
+            + report.counters["speculations_salvaged"]
+            == expected
+        )
+        assert report.counters["speculations_discarded"] > 0
+        assert report.counters["speculations_salvaged"] > 0
         assert metrics.value("crashfuzz_pipeline_blocks_total") == 1
         assert metrics.value("crashfuzz_failed_pipeline_blocks_total") is None
 
@@ -118,8 +121,32 @@ class TestReorgRoundTrip:
         metrics = MetricsRegistry()
         report = reorg_roundtrip_block(fuzzer.chain, block, threads=4, metrics=metrics)
         assert report.ok, report.describe()
-        assert sorted(report.executors) == sorted(CRASH_EXECUTORS)
+        assert sorted(report.executors) == sorted(EXECUTORS)
         assert metrics.value("crashfuzz_reorg_roundtrips_total") == 1
+
+    def test_failed_final_recovery_is_a_divergence(
+        self, fuzzer, block, monkeypatch
+    ):
+        # The post-reorg recovery is guarded like every other recovery in
+        # the sweeps: a typed failure there is a recorded divergence (with
+        # a --dump repro), not a traceback out of the sweep.
+        import repro.check.crashfuzz as crashfuzz
+        from repro.errors import RecoveryError
+
+        def failing_recover(*args, **kwargs):
+            raise RecoveryError("injected post-reorg recovery failure")
+
+        monkeypatch.setattr(crashfuzz, "recover", failing_recover)
+        metrics = MetricsRegistry()
+        report = reorg_roundtrip_block(
+            fuzzer.chain, block, threads=4, metrics=metrics
+        )
+        assert not report.ok
+        assert [d.field for d in report.divergences] == ["reorg"] * len(
+            EXECUTORS
+        )
+        assert "recovery raised" in report.divergences[0].detail
+        assert metrics.value("crashfuzz_failed_reorgs_total") == 1
 
 
 class TestChaosScenarios:

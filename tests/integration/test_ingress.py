@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.suite import EXECUTOR_FACTORIES
 from repro.check import run_chaos_block, run_ingress_scenario
 from repro.errors import DuplicateTransaction, NonMonotonicBlock
 from repro.evm.message import Transaction
+from repro.executors import make_executor
 from repro.mempool import MempoolConfig
 from repro.resilience import SCENARIOS
 from repro.rpc import IngressConfig, run_ingress
@@ -96,7 +96,7 @@ class TestOverloadScenarios:
 class TestExternalBlockValidation:
     def service(self):
         chain = build_chain(ChainSpec(accounts=12, tokens=1, amm_pairs=0, seed=2))
-        executor = EXECUTOR_FACTORIES["serial"](1, None)
+        executor = make_executor("serial", 1)
         return chain, ChainService(None, executor, chain=chain)
 
     def transfer(self, chain, sender_index=0, nonce=0, value=500):

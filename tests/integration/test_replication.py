@@ -17,15 +17,19 @@ from __future__ import annotations
 import pytest
 
 from repro.check import run_chaos_block
-from repro.check.crashfuzz import CRASH_EXECUTORS
 from repro.check.failover import failover_sweep
 from repro.check.fuzzer import BlockFuzzer, FuzzConfig
 from repro.errors import NotPrimary
 from repro.mempool import Mempool, MempoolConfig, wire_transaction
 from repro.obs import MetricsRegistry
-from repro.replication import ClusterConfig, ReplicatedChainService
+from repro.replication import (
+    ClusterChain,
+    ClusterConfig,
+    ReplicatedChainService,
+)
 from repro.resilience import SCENARIOS
 from repro.rpc import RpcConfig, RpcFacade
+from repro.workloads import copy_block
 
 
 @pytest.fixture(scope="module")
@@ -33,29 +37,16 @@ def fuzzer():
     return BlockFuzzer(FuzzConfig(txs_per_block=6, accounts=32, tokens=2, amm_pairs=1))
 
 
-class _SweepChain:
-    __slots__ = ("world", "env")
-
-    def __init__(self, world, env):
-        self.world = world
-        self.env = env
+def _chainlike(fuzzer):
+    return ClusterChain(fuzzer.chain.fresh_world(), fuzzer.chain.env)
 
 
 def _blocks(fuzzer, count, seed=0):
-    from dataclasses import replace
-
     base = fuzzer.chain.env.number
-    out = []
-    for i in range(count):
-        generated = fuzzer.block(seed + i)
-        out.append(
-            type(generated)(
-                number=base + i,
-                txs=[replace(tx) for tx in generated.txs],
-                env=replace(fuzzer.chain.env, number=base + i),
-            )
-        )
-    return out
+    return [
+        copy_block(base + i, fuzzer.block(seed + i).txs, fuzzer.chain.env)
+        for i in range(count)
+    ]
 
 
 def _hashes(block):
@@ -70,9 +61,7 @@ def _hashes(block):
 class TestClusterStreaming:
     def test_replicas_track_the_primary_exactly(self, fuzzer):
         cluster = ReplicatedChainService(
-            _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env),
-            CRASH_EXECUTORS["parallelevm"],
-            ClusterConfig(replicas=2, threads=4),
+            _chainlike(fuzzer), ClusterConfig(replicas=2, threads=4)
         )
         for block in _blocks(fuzzer, 3):
             cluster.ingest_block(block, tx_hashes=_hashes(block))
@@ -86,9 +75,10 @@ class TestClusterStreaming:
 
     def test_checkpoint_shipping_prunes_replica_journals(self, fuzzer):
         cluster = ReplicatedChainService(
-            _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env),
-            CRASH_EXECUTORS["serial"],
-            ClusterConfig(replicas=1, threads=1, checkpoint_interval=2),
+            _chainlike(fuzzer),
+            ClusterConfig(
+                executor="serial", replicas=1, threads=1, checkpoint_interval=2
+            ),
         )
         blocks = _blocks(fuzzer, 4)
         for block in blocks:
@@ -108,18 +98,16 @@ class TestFailoverSweep:
         report = failover_sweep(
             txs_per_block=5,
             threads=4,
-            executors={
-                name: CRASH_EXECUTORS[name]
-                for name in ("serial", "parallelevm")
-            },
+            executors=("serial", "parallelevm"),
         )
         assert report.ok, report.describe()
-        assert report.crashes_injected == len(report.sites) * 2
-        assert report.failovers == report.crashes_injected
-        assert report.stale_frames_rejected > 0
+        counters = report.counters
+        assert counters["crashes_injected"] == len(report.sites) * 2
+        assert counters["failovers"] == counters["crashes_injected"]
+        assert counters["stale_frames_rejected"] > 0
         # Detection (the heartbeat timeout) dominates; the bound is tight.
-        assert report.min_failover_us >= 150_000.0
-        assert report.max_failover_us < 300_000.0
+        assert counters["min_failover_us"] >= 150_000.0
+        assert counters["max_failover_us"] < 300_000.0
         assert report.certification.ok
 
     def test_primary_crash_scenario_via_chaos_dispatch(self, fuzzer):
@@ -158,11 +146,8 @@ class TestReplicationChaosScenarios:
 
 class TestFacadeFailover:
     def test_promotion_repoints_facade_and_requeues(self, fuzzer):
-        chainlike = _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env)
         cluster = ReplicatedChainService(
-            chainlike,
-            CRASH_EXECUTORS["parallelevm"],
-            ClusterConfig(replicas=2, threads=4),
+            _chainlike(fuzzer), ClusterConfig(replicas=2, threads=4)
         )
         mempool = Mempool(MempoolConfig(), cluster.service.world)
         facade = RpcFacade(
@@ -214,11 +199,9 @@ class TestFacadeFailover:
         assert len(produced.entries) == 3
 
     def test_demoted_primarys_facade_sheds_writes(self, fuzzer):
-        chainlike = _SweepChain(fuzzer.chain.fresh_world(), fuzzer.chain.env)
         cluster = ReplicatedChainService(
-            chainlike,
-            CRASH_EXECUTORS["serial"],
-            ClusterConfig(replicas=1, threads=1),
+            _chainlike(fuzzer),
+            ClusterConfig(executor="serial", replicas=1, threads=1),
         )
         mempool = Mempool(MempoolConfig(), cluster.service.world)
         # This facade keeps the *old primary's* view: after failover its

@@ -38,13 +38,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--executor", "nonsense"])
 
-    def test_all_run_executor_names_parse(self):
-        from repro.cli import RUN_EXECUTORS
-
-        for name in RUN_EXECUTORS:
-            args = build_parser().parse_args(["run", "--executor", name])
-            assert args.executor == name
-
     def test_fuzz_defaults(self):
         args = build_parser().parse_args(["fuzz"])
         assert args.seed == 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.suite import EXECUTOR_FACTORIES
 from repro.durability import DurableCommitPipeline, MemoryMedium
 from repro.durability.checkpoint import encode_snapshot
 from repro.errors import (
@@ -22,6 +21,7 @@ from repro.errors import (
     StaleEpoch,
 )
 from repro.evm.message import Transaction
+from repro.executors import make_executor
 from repro.mempool import Mempool, MempoolConfig
 from repro.obs import MetricsRegistry, replication_table
 from repro.obs.lifecycle import FlightRecorder
@@ -326,7 +326,7 @@ class _View:
 
 @pytest.fixture()
 def facade(chain):
-    executor = EXECUTOR_FACTORIES["serial"](1, None)
+    executor = make_executor("serial", 1)
     service = ChainService(None, executor, chain=chain)
     mempool = Mempool(MempoolConfig(), chain.world)
     return RpcFacade(service, mempool, RpcConfig(block_txs=4))

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field, replace
 
 from ..concurrency import SerialExecutor
 from ..executors import EXECUTORS
-from ..resilience import SCENARIOS, ChaosScenario, FaultPlan, RecoveryPolicy
+from ..resilience import (
+    SCENARIOS,
+    ChaosScenario,
+    FaultPlan,
+    RecoveryPolicy,
+    scenario_recovery,
+)
 from ..workloads import Block, Chain
 from .certify import CertificationReport, certify_block
 
@@ -134,11 +140,12 @@ def run_chaos_block(
         probe = SerialExecutor().execute_block(
             chain.fresh_world(), block.txs, block.env
         )
-        policy = RecoveryPolicy(
-            block_deadline_us=max(probe.makespan_us, 1.0) * deadline_factor
+        policy = scenario_recovery(
+            scenario,
+            RecoveryPolicy(
+                block_deadline_us=max(probe.makespan_us, 1.0) * deadline_factor
+            ),
         )
-        if scenario.recovery_overrides:
-            policy = replace(policy, **scenario.recovery_overrides)
     else:
         policy = recovery
     if redo_budget is not None:

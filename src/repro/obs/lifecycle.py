@@ -726,3 +726,32 @@ class LifecycleReport:
                 f"{self.slow_threshold_us:.0f} us · dominant phase: {dominant}"
             )
         return "\n".join(lines)
+
+
+def describe_serving(
+    lifecycle: dict | None, slo: dict | None, flight: dict | None
+) -> list[str]:
+    """The lifecycle, SLO and flight-recorder lines of a run report.
+
+    Takes the ``as_dict``/``summary`` forms the ingress and soak reports
+    carry; a None section (or an untriggered recorder) prints nothing.
+    """
+    lines = []
+    if lifecycle is not None:
+        lines.append(LifecycleReport.from_dict(lifecycle).describe())
+    if slo is not None:
+        latency = slo["latency"]
+        errors = slo["errors"]
+        lines.append(
+            f"  slo         latency burn {latency['total_burn']:.2f}x "
+            f"({latency['bad']}/{latency['total']} over "
+            f"{latency['objective_us']:.0f} us) · error burn "
+            f"{errors['total_burn']:.2f}x · {slo['alerts']} alert(s)"
+        )
+    if flight is not None and flight["triggered"]:
+        lines.append(
+            f"  flight      {flight['triggered']} incident(s) · "
+            f"{len(flight['dumps'])} dump(s) retained "
+            f"(ring {flight['capacity']})"
+        )
+    return lines

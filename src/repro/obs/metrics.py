@@ -30,6 +30,10 @@ LabelKey = tuple[tuple[str, str], ...]
 #: its cardinality limit (see ``MetricsRegistry(label_limit=...)``).
 OVERFLOW_LABEL = "(overflow)"
 
+#: The per-name label-set bound of the long-run harness registries (soak
+#: and ingress): per-sender series stay O(limit) on 100k-account streams.
+HARNESS_LABEL_LIMIT = 512
+
 
 def _label_key(labels: dict[str, str]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
@@ -291,3 +295,23 @@ class MetricsRegistry:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
+
+
+def fold_counters(registry: MetricsRegistry, values: dict | None = None) -> dict:
+    """Non-zero counter values with labelled series folded into base names.
+
+    ``values`` is a ``series-name -> value`` view of ``registry`` —
+    :meth:`MetricsRegistry.as_dict` (the default: cumulative totals) or
+    :meth:`MetricsRegistry.window_snapshot` (per-window deltas).  Gauges
+    and histograms are skipped.
+    """
+    if values is None:
+        values = registry.as_dict()
+    kinds = registry.kinds()
+    counters: dict = {}
+    for series, value in values.items():
+        if kinds.get(series) != "counter" or not value:
+            continue
+        base = series.split("{", 1)[0]
+        counters[base] = counters.get(base, 0) + value
+    return counters

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, fold_counters
 
 # Quantiles every latency summary reports, in export order.
 SUMMARY_QUANTILES = (0.50, 0.90, 0.99)
@@ -332,18 +333,11 @@ class SoakTelemetry:
     def _counters_section(self) -> dict | None:
         if self.registry is None:
             return None
-        kinds = self.registry.kinds()
-        counters: dict[str, float] = {}
-        for series, value in self.registry.window_snapshot().items():
-            # Counter deltas only: gauges are point-in-time, and histogram
-            # deltas would bloat every line (the soak snapshot carries its
-            # own latency sketches).  Labelled series fold into their base
-            # name so line width stays bounded on long runs.
-            if kinds.get(series) != "counter" or not value:
-                continue
-            base = series.split("{", 1)[0]
-            counters[base] = counters.get(base, 0) + value
-        return counters
+        # Counter deltas only: gauges are point-in-time, and histogram
+        # deltas would bloat every line (the soak snapshot carries its own
+        # latency sketches).  Labelled series fold into their base name so
+        # line width stays bounded on long runs.
+        return fold_counters(self.registry, self.registry.window_snapshot())
 
     def _close_window(self) -> dict:
         window = self.window
@@ -407,6 +401,32 @@ class SoakTelemetry:
                 "evictions": cache.evictions,
             }
         return out
+
+
+@contextmanager
+def snapshot_sink(out=None, progress=None):
+    """Yield ``emit(snapshot)`` for one run's telemetry windows.
+
+    ``emit`` writes the canonical JSONL line to ``out`` — a path (opened
+    here, closed on exit), a writable text file, or None to discard — and
+    hands the snapshot dict to ``progress`` when one is given.
+    """
+    opened = None
+    sink = out
+    if isinstance(out, str):
+        opened = sink = open(out, "w")
+    try:
+        def emit(snapshot: dict) -> None:
+            if sink is not None:
+                sink.write(SoakTelemetry.snapshot_line(snapshot))
+                sink.write("\n")
+            if progress is not None:
+                progress(snapshot)
+
+        yield emit
+    finally:
+        if opened is not None:
+            opened.close()
 
 
 def format_window_line(snapshot: dict) -> str:

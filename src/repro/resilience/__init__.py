@@ -33,7 +33,13 @@ from .faults import (
     StorageFaultInjector,
 )
 from .policy import EscalationLadder, RecoveryPolicy
-from .scenarios import SCENARIOS, ChaosScenario, default_suite
+from .scenarios import (
+    SCENARIOS,
+    ChaosScenario,
+    default_suite,
+    fault_plan_factory,
+    scenario_recovery,
+)
 
 __all__ = [
     "ChaosScenario",
@@ -47,4 +53,6 @@ __all__ = [
     "SchedulerFaultInjector",
     "StorageFaultInjector",
     "default_suite",
+    "fault_plan_factory",
+    "scenario_recovery",
 ]

@@ -14,9 +14,10 @@ no performance claim is ever derived from a chaos run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .faults import FaultConfig
+from .faults import FaultConfig, FaultPlan
+from .policy import RecoveryPolicy
 
 
 @dataclass(slots=True, frozen=True)
@@ -232,3 +233,55 @@ SCENARIOS: dict[str, ChaosScenario] = {
 def default_suite() -> list[ChaosScenario]:
     """The default chaos suite, in catalogue order."""
     return list(SCENARIOS.values())
+
+
+def scenario_recovery(
+    scenario: ChaosScenario, policy: RecoveryPolicy | None = None
+) -> RecoveryPolicy:
+    """``policy`` (default: the stock ladder) with the scenario's overrides."""
+    if policy is None:
+        policy = RecoveryPolicy()
+    if scenario.recovery_overrides:
+        policy = replace(policy, **scenario.recovery_overrides)
+    return policy
+
+
+def fault_plan_factory(
+    harness: str,
+    seed: int,
+    scenario: str | None,
+    fault_config: FaultConfig | None = None,
+):
+    """The per-block :class:`FaultPlan` factory of a long-run harness.
+
+    ``scenario`` names a runtime-fault scenario from the catalogue; without
+    one, an explicit ``fault_config`` runs under the default recovery.
+    Block ``n``'s plan is seeded ``f"{harness}:{seed}:{n}"``, so every
+    block draws its own fault stream.  None when nothing is injected.
+    """
+    recovery = None
+    if scenario is not None:
+        try:
+            chaos = SCENARIOS[scenario]
+        except KeyError:
+            known = ", ".join(sorted(SCENARIOS))
+            raise ValueError(
+                f"unknown chaos scenario {scenario!r} (known: {known})"
+            ) from None
+        if chaos.kind != "faults":
+            raise ValueError(
+                f"scenario {chaos.name!r} is a {chaos.kind} scenario; the "
+                f"{harness} harness injects runtime faults only (crash/reorg "
+                "sweeps live in `repro crashfuzz`)"
+            )
+        fault_config = chaos.config
+        recovery = scenario_recovery(chaos)
+    if fault_config is None:
+        return None
+
+    def factory(number: int) -> FaultPlan:
+        return FaultPlan(
+            f"{harness}:{seed}:{number}", config=fault_config, recovery=recovery
+        )
+
+    return factory

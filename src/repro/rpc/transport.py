@@ -8,9 +8,10 @@ Two implementations of the same tiny contract — ``request(obj, now_us)
   through JSON text (so serialization bugs cannot hide) and charges a
   fixed simulated cost per request; no sockets, no threads, no wall
   clock.
-* :func:`serve_http` — an optional real asyncio HTTP server for demos,
-  built on the standard library only.  One POST = one JSON-RPC request.
-  Nothing in the library depends on it; CI never starts it.
+* :func:`serve_http` — an optional real asyncio HTTP server, built on the
+  standard library only.  One POST = one JSON-RPC request.  It is how
+  ``repro serve`` reaches the node from outside the process; nothing else
+  in the library depends on it.
 """
 
 from __future__ import annotations
@@ -77,27 +78,3 @@ async def serve_http(
     return await asyncio.start_server(
         lambda r, w: _serve_connection(dispatcher, r, w), host, port
     )
-
-
-async def http_request(payload, host: str = "127.0.0.1", port: int = 8545) -> dict:
-    """One-shot HTTP client for the demo server (tests and `repro serve`)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    body = json.dumps(payload, sort_keys=True).encode()
-    writer.write(
-        b"POST / HTTP/1.1\r\nHost: localhost\r\n"
-        b"Content-Type: application/json\r\n"
-        b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
-    )
-    await writer.drain()
-    status = await reader.readline()
-    if not status.startswith(b"HTTP/1.1 200"):
-        raise ConnectionError(f"unexpected response: {status!r}")
-    content_length = 0
-    line = await reader.readline()
-    while line not in (b"\r\n", b"\n", b""):
-        if line.lower().startswith(b"content-length:"):
-            content_length = int(line.split(b":", 1)[1])
-        line = await reader.readline()
-    body = await reader.readexactly(content_length)
-    writer.close()
-    return json.loads(body)

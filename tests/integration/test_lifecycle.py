@@ -117,7 +117,7 @@ class TestSloAndFlightRecorder:
         assert dump["reason"].split(":")[0] in (
             "backpressure", "circuit-open", "slo", "degradation"
         )
-        assert len(dump["records"]) <= config.flight_capacity
+        assert len(dump["records"]) <= report.flight["capacity"]
 
     def test_degradation_scenario_triggers_flight_dump(self):
         report = run_ingress(small_config(scenario="corrupt-guard"))
@@ -183,3 +183,28 @@ class TestLoadgenSoak:
         assert report.lifecycle is None  # per-tx tracking needs loadgen
         assert report.slo["latency"]["bad"] == report.slo["latency"]["total"]
         assert report.slo["alerts"] >= 1
+
+
+class TestFleetLoop:
+    @pytest.mark.parametrize("harness", ["ingress", "soak"])
+    def test_pipelined_throughput_runs_on_the_service_clock(self, harness):
+        # With the pipeline on, a block advances the service clock by less
+        # than its end-to-end latency; throughput must be computed over the
+        # clock advance the pipeline itself counts, for both harnesses of
+        # the one fleet loop.
+        if harness == "ingress":
+            report = run_ingress(
+                IngressConfig(blocks=16, txs_per_block=12, seed=3, pipeline=True)
+            )
+        else:
+            report = run_soak(
+                SoakConfig(
+                    blocks=12, window_blocks=6, accounts=1_000,
+                    txs_per_block=12, loadgen_clients=4, rate_multiplier=1.4,
+                    seed=9, pipeline=True,
+                )
+            )
+        advance_us = report.counters["pipeline_advance_us"]
+        assert report.summary["throughput"]["sim_time_us"] == pytest.approx(
+            advance_us, rel=1e-9
+        )

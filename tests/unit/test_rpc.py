@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
+import urllib.request
 
 import pytest
 
@@ -11,7 +13,13 @@ from repro.evm.message import Transaction
 from repro.executors import make_executor
 from repro.mempool import Mempool, MempoolConfig, wire_transaction
 from repro.obs import MetricsRegistry
-from repro.rpc import RpcConfig, RpcDispatcher, RpcFacade, SimTransport
+from repro.rpc import (
+    RpcConfig,
+    RpcDispatcher,
+    RpcFacade,
+    SimTransport,
+    serve_http,
+)
 from repro.service import ChainService
 from repro.workloads import ChainSpec, build_chain
 
@@ -143,3 +151,45 @@ class TestOverload:
         level0 = facade.retry_after_us()
         facade._pressure_streak = 3
         assert facade.retry_after_us() > level0
+
+
+class TestHttpTransport:
+    def test_serve_http_answers_like_the_dispatcher(self, stack):
+        # `repro serve` is the one way to reach a node from outside the
+        # process: one POST on loopback must get the same answer as the
+        # in-process transport, including for a body that is not JSON.
+        *_, transport = stack
+        health = rpc("health", {})
+        malformed = b"{not json"
+        # No proxy handler: the request must go straight to loopback.
+        opener = urllib.request.build_opener(urllib.request.ProxyHandler({}))
+
+        def post(port: int, body: bytes) -> dict:
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/",
+                data=body,
+                headers={"Content-Type": "application/json"},
+            )
+            with opener.open(request, timeout=10) as response:
+                assert response.status == 200
+                return json.loads(response.read())
+
+        async def serve_two() -> tuple[dict, dict]:
+            server = await serve_http(transport.dispatcher, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return (
+                    await asyncio.to_thread(post, port, json.dumps(health).encode()),
+                    await asyncio.to_thread(post, port, malformed),
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        health_http, malformed_http = asyncio.run(serve_two())
+        assert health_http == transport.request(health)
+        assert "result" in health_http
+        assert malformed_http == json.loads(
+            transport.dispatcher.handle(malformed.decode())
+        )
+        assert malformed_http["error"]["code"] == -32700

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..concurrency import SerialExecutor
 from ..durability import enumerate_crash_sites
@@ -51,6 +51,7 @@ from ..replication import (
     ClusterChain,
     ClusterConfig,
     FailoverPolicy,
+    FailoverReport,
     ReplicaConfig,
     ReplicatedChainService,
 )
@@ -362,15 +363,64 @@ def run_replication_scenario(
 _SCENARIO_EXECUTOR = "parallelevm"
 
 
-def _scenario_cluster(
-    fixture: _Fixture,
+@dataclass(slots=True)
+class _Hazard:
+    """One targeted replication hazard: its cluster and the violations seen."""
+
+    mode: str
+    fixture: _Fixture
+    cluster: ReplicatedChainService
+    divergences: list[Divergence] = field(default_factory=list)
+
+    def violation(self, detail: str) -> None:
+        self.divergences.append(Divergence(_SCENARIO_EXECUTOR, self.mode, detail))
+
+    def ingest(self, blocks) -> None:
+        for block in blocks:
+            self.cluster.ingest_block(block, tx_hashes=_synthetic_hashes(block))
+
+    def promote(self) -> FailoverReport | None:
+        """Fail the primary and promote once the heartbeat window passes;
+        None (with the violation recorded) when the failover raised."""
+        cluster = self.cluster
+        now = cluster.service.sim_time_us
+        cluster.fail_primary(now)
+        try:
+            return cluster.failover(
+                now + cluster.controller.policy.heartbeat_timeout_us + 1.0
+            )
+        except _CLUSTER_ERRORS as exc:
+            self.violation(f"failover raised {exc}")
+            return None
+
+    def matches_reference(self) -> bool:
+        """Whether the primary holds the serial reference of every block."""
+        states = _serial_states(
+            self.fixture.fuzzer.chain.fresh_world(), self.fixture.blocks, False
+        )
+        return self.cluster.service.world.fingerprint() == states[-1][0]
+
+    def certification(self) -> CertificationReport:
+        return CertificationReport(
+            block_number=self.fixture.blocks[0].number,
+            tx_count=sum(len(b.txs) for b in self.fixture.blocks),
+            executors=[_SCENARIO_EXECUTOR],
+            divergences=list(self.divergences),
+        )
+
+
+def _hazard(
+    mode: str,
+    seed: int,
+    blocks: int,
     threads: int,
     metrics,
     *,
     policy: FailoverPolicy | None = None,
     replica_configs: dict[str, ReplicaConfig] | None = None,
-) -> ReplicatedChainService:
-    return ReplicatedChainService(
+) -> _Hazard:
+    fixture = _fixture(seed, blocks=blocks, txs_per_block=6)
+    cluster = ReplicatedChainService(
         fixture.chainlike(),
         ClusterConfig(
             executor=_SCENARIO_EXECUTOR,
@@ -381,66 +431,42 @@ def _scenario_cluster(
         metrics=metrics,
         replica_configs=replica_configs,
     )
-
-
-def _certify(fixture: _Fixture, divergences) -> CertificationReport:
-    return CertificationReport(
-        block_number=fixture.blocks[0].number,
-        tx_count=sum(len(b.txs) for b in fixture.blocks),
-        executors=[_SCENARIO_EXECUTOR],
-        divergences=list(divergences),
-    )
+    return _Hazard(mode, fixture, cluster)
 
 
 def _laggy_replica_scenario(seed: int, threads: int, metrics):
     """A replica consuming one frame per poll must trip the lag budget —
     and still converge once drained."""
-    fixture = _fixture(seed, blocks=5, txs_per_block=6)
-    policy = FailoverPolicy(lag_budget_blocks=2)
-    cluster = _scenario_cluster(
-        fixture,
+    hazard = _hazard(
+        "laggy-replica",
+        seed,
+        5,
         threads,
         metrics,
-        policy=policy,
+        policy=FailoverPolicy(lag_budget_blocks=2),
         replica_configs={"replica-1": ReplicaConfig(max_frames_per_poll=1)},
     )
-    divergences: list[Divergence] = []
+    cluster = hazard.cluster
     flagged = 0
-    for block in fixture.blocks:
-        cluster.ingest_block(block, tx_hashes=_synthetic_hashes(block))
+    for block in hazard.fixture.blocks:
+        hazard.ingest([block])
         if any(r.name == "replica-1" for r in cluster.laggards()):
             flagged += 1
         if any(r.name == "replica-0" for r in cluster.laggards()):
-            divergences.append(
-                Divergence(
-                    _SCENARIO_EXECUTOR,
-                    "laggy-replica",
-                    "the healthy replica tripped the lag budget",
-                )
-            )
+            hazard.violation("the healthy replica tripped the lag budget")
     if flagged == 0:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "laggy-replica",
-                "the laggy replica never tripped the lag budget",
-            )
-        )
+        hazard.violation("the laggy replica never tripped the lag budget")
     laggard = next(r for r in cluster.replicas if r.name == "replica-1")
     max_lag = laggard.lag_blocks(cluster.service.height - 1)
     laggard.poll(cluster.service.sim_time_us, max_frames=0)
     tip_fp = cluster.service.world.fingerprint()
     for replica in cluster.replicas:
         if replica.world.fingerprint() != tip_fp:
-            divergences.append(
-                Divergence(
-                    _SCENARIO_EXECUTOR,
-                    "laggy-replica",
-                    f"{replica.name} did not converge to the primary's state",
-                )
+            hazard.violation(
+                f"{replica.name} did not converge to the primary's state"
             )
     return (
-        _certify(fixture, divergences),
+        hazard.certification(),
         {"laggard_flags": float(flagged), "max_lag_blocks": float(max_lag)},
         float(flagged),
     )
@@ -449,12 +475,10 @@ def _laggy_replica_scenario(seed: int, threads: int, metrics):
 def _corrupt_feed_scenario(seed: int, threads: int, metrics):
     """One replica's feed link corrupts a byte: typed quarantine, flight
     dump, and failover onto the intact replica still preserves everything."""
-    fixture = _fixture(seed, blocks=3, txs_per_block=6)
-    cluster = _scenario_cluster(fixture, threads, metrics)
-    divergences: list[Divergence] = []
-    for block in fixture.blocks[:-1]:
-        cluster.ingest_block(block, tx_hashes=_synthetic_hashes(block))
-    last = fixture.blocks[-1]
+    hazard = _hazard("corrupt-feed", seed, 3, threads, metrics)
+    cluster = hazard.cluster
+    hazard.ingest(hazard.fixture.blocks[:-1])
+    last = hazard.fixture.blocks[-1]
     victim = cluster.replicas[0]
     pre_len = len(cluster.feed)
     cluster.service.ingest_block(last, tx_hashes=_synthetic_hashes(last))
@@ -463,117 +487,48 @@ def _corrupt_feed_scenario(seed: int, threads: int, metrics):
     victim.flip_feed_byte = pre_len + 8 + (seed % 8 if region > 16 else 0)
     cluster.poll_replicas(cluster.service.sim_time_us)
     if victim.state != "quarantined":
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "corrupt-feed",
-                "corrupted frame bytes were not detected",
-            )
-        )
+        hazard.violation("corrupted frame bytes were not detected")
     elif victim.flight.triggered == 0:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "corrupt-feed",
-                "quarantine did not dump the flight recorder",
-            )
-        )
-    now = cluster.service.sim_time_us
-    cluster.fail_primary(now)
-    try:
-        promotion = cluster.failover(
-            now + cluster.controller.policy.heartbeat_timeout_us + 1.0
-        )
-    except _CLUSTER_ERRORS as exc:
-        divergences.append(
-            Divergence(_SCENARIO_EXECUTOR, "corrupt-feed", f"failover raised {exc}")
-        )
-        return _certify(fixture, divergences), {}, 1.0
-    states = _serial_states(
-        fixture.fuzzer.chain.fresh_world(), fixture.blocks, False
-    )
+        hazard.violation("quarantine did not dump the flight recorder")
+    promotion = hazard.promote()
+    if promotion is None:
+        return hazard.certification(), {}, 1.0
     if promotion.promoted != "replica-1":
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "corrupt-feed",
-                f"promotion picked {promotion.promoted}, not the intact replica",
-            )
+        hazard.violation(
+            f"promotion picked {promotion.promoted}, not the intact replica"
         )
-    if cluster.service.world.fingerprint() != states[-1][0]:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "corrupt-feed",
-                "promoted state lost blocks despite an intact replica",
-            )
-        )
+    if not hazard.matches_reference():
+        hazard.violation("promoted state lost blocks despite an intact replica")
     counters = {
         "quarantines": 1.0 if victim.state == "quarantined" else 0.0,
         "blocks_preserved": float(promotion.blocks_preserved),
     }
-    return _certify(fixture, divergences), counters, 1.0
+    return hazard.certification(), counters, 1.0
 
 
 def _divergent_replica_scenario(seed: int, threads: int, metrics):
     """A replica whose replay silently corrupts one block must be caught by
     the sealed-root check, quarantined, and excluded from promotion."""
-    fixture = _fixture(seed, blocks=3, txs_per_block=6)
-    cluster = _scenario_cluster(fixture, threads, metrics)
-    divergences: list[Divergence] = []
-    victim = cluster.replicas[0]
-    victim.corrupt_block = fixture.blocks[1].number
-    for block in fixture.blocks:
-        cluster.ingest_block(block, tx_hashes=_synthetic_hashes(block))
+    hazard = _hazard("divergent-replica", seed, 3, threads, metrics)
+    victim = hazard.cluster.replicas[0]
+    victim.corrupt_block = hazard.fixture.blocks[1].number
+    hazard.ingest(hazard.fixture.blocks)
     if victim.state != "quarantined" or not isinstance(
         victim.error, ReplicaDivergence
     ):
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "divergent-replica",
-                "a corrupted replay was not caught by root verification",
-            )
+        hazard.violation(
+            "a corrupted replay was not caught by root verification"
         )
     elif not victim.flight.dumps:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "divergent-replica",
-                "divergence quarantine did not dump the flight recorder",
-            )
-        )
-    now = cluster.service.sim_time_us
-    cluster.fail_primary(now)
-    try:
-        promotion = cluster.failover(
-            now + cluster.controller.policy.heartbeat_timeout_us + 1.0
-        )
-    except _CLUSTER_ERRORS as exc:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR, "divergent-replica", f"failover raised {exc}"
-            )
-        )
-        return _certify(fixture, divergences), {}, 1.0
+        hazard.violation("divergence quarantine did not dump the flight recorder")
+    promotion = hazard.promote()
+    if promotion is None:
+        return hazard.certification(), {}, 1.0
     if promotion.promoted == victim.name:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "divergent-replica",
-                "promotion elected the quarantined replica",
-            )
-        )
-    states = _serial_states(
-        fixture.fuzzer.chain.fresh_world(), fixture.blocks, False
-    )
-    if cluster.service.world.fingerprint() != states[-1][0]:
-        divergences.append(
-            Divergence(
-                _SCENARIO_EXECUTOR,
-                "divergent-replica",
-                "the promoted replica's state differs from the serial reference",
-            )
+        hazard.violation("promotion elected the quarantined replica")
+    if not hazard.matches_reference():
+        hazard.violation(
+            "the promoted replica's state differs from the serial reference"
         )
     counters = {
         "divergences_caught": 1.0
@@ -581,4 +536,4 @@ def _divergent_replica_scenario(seed: int, threads: int, metrics):
         else 0.0,
         "blocks_preserved": float(promotion.blocks_preserved),
     }
-    return _certify(fixture, divergences), counters, 1.0
+    return hazard.certification(), counters, 1.0

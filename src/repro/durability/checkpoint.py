@@ -14,16 +14,15 @@ undo history (hence reorg depth) extends exactly back to that snapshot.
 
 from __future__ import annotations
 
-import struct
-import zlib
+from collections.abc import Callable, Mapping
 
 from .. import rlp
 from ..core.serialize import decode_value, encode_value
 from ..errors import JournalCorruptionError
 from ..state.world import WorldState
+from .journal import BadFrame, frame, read_frame
 
 SNAPSHOT_MAGIC = b"RSNP1\n"
-_HEADER = struct.Struct(">II")
 
 
 def encode_snapshot(world: WorldState, block_number: int) -> bytes:
@@ -35,7 +34,21 @@ def encode_snapshot(world: WorldState, block_number: int) -> bytes:
     payload = rlp.encode(
         [rlp.uint_to_bytes(block_number), world.fingerprint(), items]
     )
-    return SNAPSHOT_MAGIC + _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return SNAPSHOT_MAGIC + frame(payload)
+
+
+def _decode_payload(payload: bytes, offset: int) -> tuple[int, bytes, dict]:
+    try:
+        number, fingerprint, items = rlp.decode(payload)
+        return (
+            rlp.bytes_to_uint(number),
+            fingerprint,
+            {decode_value(pair[0]): decode_value(pair[1]) for pair in items},
+        )
+    except Exception as exc:
+        raise JournalCorruptionError(
+            offset, f"malformed snapshot structure: {exc}"
+        ) from exc
 
 
 def decode_snapshot(data: bytes) -> tuple[int, bytes, dict]:
@@ -47,24 +60,12 @@ def decode_snapshot(data: bytes) -> tuple[int, bytes, dict]:
     """
     if not data.startswith(SNAPSHOT_MAGIC):
         raise JournalCorruptionError(0, "bad snapshot magic")
-    body = data[len(SNAPSHOT_MAGIC) :]
-    if len(body) < _HEADER.size:
-        raise JournalCorruptionError(0, "truncated snapshot header")
-    length, crc = _HEADER.unpack_from(body)
-    payload = body[_HEADER.size : _HEADER.size + length]
-    if len(payload) < length:
-        raise JournalCorruptionError(0, "truncated snapshot body")
-    if zlib.crc32(payload) != crc:
-        raise JournalCorruptionError(0, "snapshot CRC mismatch")
-    decoded = rlp.decode(payload)
-    if not isinstance(decoded, list) or len(decoded) != 3:
-        raise JournalCorruptionError(0, "malformed snapshot structure")
-    number = rlp.bytes_to_uint(decoded[0])
-    fingerprint = decoded[1]
-    items = {
-        decode_value(pair[0]): decode_value(pair[1]) for pair in decoded[2]
-    }
-    return number, fingerprint, items
+    read = read_frame(data, len(SNAPSHOT_MAGIC), _decode_payload)
+    if read is None:
+        raise JournalCorruptionError(0, "truncated snapshot")
+    if isinstance(read, BadFrame):
+        raise JournalCorruptionError(0, f"snapshot {read.reason}")
+    return read[0]
 
 
 def restore_snapshot(items: dict) -> WorldState:
@@ -75,21 +76,17 @@ def restore_snapshot(items: dict) -> WorldState:
     return world
 
 
-def latest_valid_snapshot(
-    medium, metrics=None
+def pick_snapshot(
+    snapshots: Mapping[int, bytes], reject: Callable[[], None]
 ) -> tuple[int, WorldState] | None:
-    """The newest snapshot on the medium that passes validation, restored.
+    """The newest valid snapshot, restored; None when no candidate is valid.
 
-    Torn or corrupt candidates are skipped (counted into
-    ``durability_snapshots_rejected``), newest first, so a crash
-    mid-snapshot can never poison recovery — it only costs replay length.
+    A snapshot is valid when it decodes, names the block it is filed
+    under, and the restored world's fingerprint matches the recorded one.
+    Candidates are tried newest first and the first valid one is taken;
+    ``reject`` is called once per candidate tried and refused, so a crash
+    mid-snapshot can never poison a restore — it only costs replay length.
     """
-
-    def reject() -> None:
-        if metrics is not None:
-            metrics.counter("durability_snapshots_rejected").inc()
-
-    snapshots = medium.read_snapshots()
     for block_number in sorted(snapshots, reverse=True):
         try:
             number, fingerprint, items = decode_snapshot(snapshots[block_number])
@@ -105,3 +102,16 @@ def latest_valid_snapshot(
             continue
         return number, world
     return None
+
+
+def latest_valid_snapshot(
+    medium, metrics=None
+) -> tuple[int, WorldState] | None:
+    """The medium's newest valid snapshot (rejections counted into
+    ``durability_snapshots_rejected``)."""
+
+    def reject() -> None:
+        if metrics is not None:
+            metrics.counter("durability_snapshots_rejected").inc()
+
+    return pick_snapshot(medium.read_snapshots(), reject)

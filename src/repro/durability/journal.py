@@ -214,6 +214,47 @@ def frame(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+@dataclass(slots=True, frozen=True)
+class BadFrame:
+    """A frame that fails validation; ``reason`` says how.
+
+    ``end`` is where the damaged frame ends, or None when its length field
+    is itself implausible (then the frame has no trustworthy end).
+    """
+
+    reason: str
+    end: int | None = None
+
+
+def read_frame(
+    data: bytes, offset: int, decode=decode_record
+) -> tuple[object, int] | BadFrame | None:
+    """Read the frame that starts at ``offset`` of ``data``.
+
+    Returns ``(payload decoded by decode(payload, offset), end offset)``
+    for a valid frame, None when ``data`` ends inside the frame (it is
+    incomplete: a torn append, or one still in progress), or a
+    :class:`BadFrame`.  ``decode`` raises
+    :class:`~repro.errors.JournalCorruptionError` on a malformed payload.
+    """
+    if len(data) - offset < _HEADER.size:
+        return None
+    length, crc = _HEADER.unpack_from(data, offset)
+    if length > MAX_FRAME_BYTES:
+        return BadFrame(f"implausible frame length {length}")
+    start = offset + _HEADER.size
+    end = start + length
+    if end > len(data):
+        return None
+    payload = data[start:end]
+    if zlib.crc32(payload) != crc:
+        return BadFrame("frame CRC mismatch", end)
+    try:
+        return decode(payload, offset), end
+    except JournalCorruptionError as exc:
+        return BadFrame(exc.detail, end)
+
+
 # -------------------------------------------------------------------- scan
 
 
@@ -254,36 +295,19 @@ def scan_journal(data: bytes) -> JournalScan:
 
     frames: list[tuple[int, JournalRecord]] = []
     offset = len(JOURNAL_MAGIC)
-    size = len(data)
-    while offset < size:
-        remaining = size - offset
-        if remaining < _HEADER.size:
-            return JournalScan(frames, offset, "torn", "partial frame header")
-        length, crc = _HEADER.unpack_from(data, offset)
-        if length > MAX_FRAME_BYTES:
+    while offset < len(data):
+        read = read_frame(data, offset)
+        if read is None:
+            return JournalScan(frames, offset, "torn", "partial frame")
+        if isinstance(read, BadFrame):
+            # A damaged frame that is the very last thing on the medium: a
+            # torn append is indistinguishable from a flipped bit here, and
+            # truncating is always safe (the frame never committed).
+            tail = read.end is not None and read.end >= len(data)
             return JournalScan(
-                frames, offset, "corrupt", f"implausible frame length {length}"
+                frames, offset, "torn" if tail else "corrupt", read.reason
             )
-        body_start = offset + _HEADER.size
-        if size - body_start < length:
-            return JournalScan(frames, offset, "torn", "partial frame body")
-        payload = data[body_start : body_start + length]
-        end = body_start + length
-        if zlib.crc32(payload) != crc:
-            if end >= size:
-                # The damaged frame is the very last thing on the medium: a
-                # torn append is indistinguishable from a flipped bit here,
-                # and truncating is always safe (the frame never committed).
-                return JournalScan(frames, offset, "torn", "bad CRC on tail frame")
-            return JournalScan(
-                frames, offset, "corrupt", f"CRC mismatch at byte {offset}"
-            )
-        try:
-            record = decode_record(payload, offset)
-        except JournalCorruptionError as exc:
-            if end >= size:
-                return JournalScan(frames, offset, "torn", exc.detail)
-            return JournalScan(frames, offset, "corrupt", exc.detail)
+        record, end = read
         frames.append((offset, record))
         offset = end
     return JournalScan(frames, offset, "clean")

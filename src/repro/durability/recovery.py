@@ -96,63 +96,127 @@ class RecoveryResult:
         return ", ".join(parts)
 
 
-def group_blocks(records) -> tuple[list[ReplayedBlock], int | None]:
-    """Fold a record stream into per-block structures.
+class ReplayMismatch(Exception):
+    """A replayed block contradicts its COMMIT digest or SEAL root.
 
-    Returns ``(blocks, corrupt_offset)``: ``corrupt_offset`` is the offset
-    of the first record that violates the BEGIN/COMMIT protocol (e.g. a
-    BEGIN inside an open block), or None.  ``records`` is the
-    ``(offset, record)`` frame list from :func:`scan_journal`.
+    Recovery re-raises it as :class:`RecoveryError`, a replica as
+    :class:`~repro.errors.ReplicaDivergence`.
     """
-    blocks: list[ReplayedBlock] = []
-    open_block: ReplayedBlock | None = None
 
-    def close_committed() -> bool:
-        """Fold a committed (possibly seal-less) open block into the list.
+    def __init__(self, block_number: int, detail: str) -> None:
+        super().__init__(f"block {block_number}: {detail}")
+        self.block_number = block_number
+        self.detail = detail
+
+
+class BlockFold:
+    """The BEGIN/COMMIT/SEAL block protocol, folded one record at a time.
+
+    ``open`` is the block whose frames are streaming in.  :meth:`step`
+    returns the block a record completes, if any, and raises
+    :class:`JournalCorruptionError` at the offending frame's offset on a
+    BEGIN or CHECKPT inside an uncommitted block, on a record for a block
+    that is not open, and on a SEAL before the COMMIT marker.
+    """
+
+    def __init__(self) -> None:
+        self.open: ReplayedBlock | None = None
+
+    def close(self, offset: int) -> ReplayedBlock | None:
+        """End the open block at a block boundary; returns it, if any.
 
         A committed block without a SEAL is legitimate history: the
         process died between the marker and the seal, recovery replayed
         it, and journaling continued behind it.
         """
-        nonlocal open_block
-        if open_block is not None and open_block.committed:
-            blocks.append(open_block)
-            open_block = None
-        return open_block is None
-
-    for offset, record in records:
-        if isinstance(record, BeginRecord):
-            if not close_committed():
-                return blocks, offset
-            open_block = ReplayedBlock(
-                number=record.block_number,
-                begin_offset=offset,
-                tx_count=record.tx_count,
-                pre_root=record.pre_root,
+        block = self.open
+        if block is not None and not block.committed:
+            raise JournalCorruptionError(
+                offset, "block boundary inside an uncommitted block"
             )
-        elif isinstance(record, CheckpointRecord):
-            if not close_committed():
-                return blocks, offset
-        elif open_block is None or record.block_number != open_block.number:
-            return blocks, offset
-        elif isinstance(record, TxWriteRecord):
-            open_block.writes.update(record.writes)
-        elif isinstance(record, SettleRecord):
-            open_block.writes.update(record.writes)
+        self.open = None
+        return block
+
+    def step(self, offset: int, record) -> ReplayedBlock | None:
+        """Fold the record whose frame starts at ``offset``."""
+        if isinstance(record, (BeginRecord, CheckpointRecord)):
+            closed = self.close(offset)
+            if isinstance(record, BeginRecord):
+                self.open = ReplayedBlock(
+                    number=record.block_number,
+                    begin_offset=offset,
+                    tx_count=record.tx_count,
+                    pre_root=record.pre_root,
+                )
+            return closed
+        block = self.open
+        if block is None or record.block_number != block.number:
+            raise JournalCorruptionError(
+                offset, "record sequence violates the BEGIN/COMMIT protocol"
+            )
+        if isinstance(record, (TxWriteRecord, SettleRecord)):
+            block.writes.update(record.writes)
         elif isinstance(record, UndoRecord):
-            open_block.undo = record.preimages
+            block.undo = record.preimages
         elif isinstance(record, CommitRecord):
-            open_block.committed = True
-            open_block.delta_digest = record.delta_digest
+            block.committed = True
+            block.delta_digest = record.delta_digest
         elif isinstance(record, SealRecord):
-            if not open_block.committed:
-                return blocks, offset
-            open_block.post_root = record.post_root
-            blocks.append(open_block)
-            open_block = None
-    if open_block is not None:
-        blocks.append(open_block)
+            if not block.committed:
+                raise JournalCorruptionError(offset, "SEAL before the COMMIT marker")
+            block.post_root = record.post_root
+            self.open = None
+            return block
+        return None
+
+
+def group_blocks(records) -> tuple[list[ReplayedBlock], int | None]:
+    """Fold a record stream into per-block structures.
+
+    Returns ``(blocks, corrupt_offset)``: ``corrupt_offset`` is the offset
+    of the first record that violates the block protocol, or None.
+    ``records`` is the ``(offset, record)`` frame list from
+    :func:`scan_journal`; a trailing open block ends the list.
+    """
+    blocks: list[ReplayedBlock] = []
+    fold = BlockFold()
+    try:
+        for offset, record in records:
+            closed = fold.step(offset, record)
+            if closed is not None:
+                blocks.append(closed)
+    except JournalCorruptionError as violation:
+        return blocks, violation.offset
+    if fold.open is not None:
+        blocks.append(fold.open)
     return blocks, None
+
+
+def replay_committed(
+    world: WorldState, block: ReplayedBlock, cost_model: CostModel
+) -> float:
+    """Verify a committed block's delta digest, then apply its writes.
+
+    Returns the simulated replay cost (``commit_key_us`` per write plus one
+    fsync); raises :class:`ReplayMismatch` before touching ``world`` when
+    the writes do not match the COMMIT marker's digest.
+    """
+    if delta_digest(block.pre_root, block.writes) != block.delta_digest:
+        raise ReplayMismatch(
+            block.number,
+            "replayed delta does not match the COMMIT marker's digest",
+        )
+    world.apply(block.writes)
+    return len(block.writes) * cost_model.commit_key_us + cost_model.fsync_us
+
+
+def verify_seal(world: WorldState, block: ReplayedBlock) -> None:
+    """Check ``world`` against the block's SEAL fingerprint, when sealed."""
+    if block.post_root is not None and world.fingerprint() != block.post_root:
+        raise ReplayMismatch(
+            block.number,
+            "post-replay state fingerprint does not match the sealed root",
+        )
 
 
 def recover(
@@ -161,7 +225,6 @@ def recover(
     policy: RecoveryPolicy | None = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     metrics=None,
-    verify_roots: bool = True,
 ) -> RecoveryResult:
     """Rebuild the world state from the durable medium.
 
@@ -170,8 +233,8 @@ def recover(
     ``policy.corrupt_tail_policy`` decides whether a corrupt journal
     interior degrades to the last certified prefix (``"truncate"``, the
     default) or raises :class:`JournalCorruptionError` (``"raise"``).
-    ``verify_roots`` checks each replayed block's SEAL fingerprint; a
-    mismatch is a :class:`RecoveryError` (the journal lies about state —
+    Each replayed block's COMMIT digest and SEAL fingerprint are checked;
+    a mismatch is a :class:`RecoveryError` (the journal lies about state —
     no prefix can be certified past that point).
     """
     policy = policy if policy is not None else RecoveryPolicy()
@@ -214,7 +277,6 @@ def recover(
             policy=policy,
             cost_model=cost_model,
             metrics=metrics,
-            verify_roots=verify_roots,
         )
         result.corrupt_truncated = True
         result.truncated_bytes += truncated + max(dropped, 0)
@@ -238,22 +300,11 @@ def recover(
             # Already folded into the snapshot; frames survive only when
             # the crash hit between snapshot write and journal pruning.
             continue
-        if verify_roots and delta_digest(block.pre_root, block.writes) != block.delta_digest:
-            raise RecoveryError(
-                f"block {block.number}: replayed delta does not match the "
-                f"COMMIT marker's digest"
-            )
-        world.apply(block.writes)
-        replay_us += (
-            len(block.writes) * cost_model.commit_key_us
-            + cost_model.fsync_us
-        )
-        if verify_roots and block.post_root is not None:
-            if world.fingerprint() != block.post_root:
-                raise RecoveryError(
-                    f"block {block.number}: post-replay state fingerprint "
-                    f"does not match the sealed root"
-                )
+        try:
+            replay_us += replay_committed(world, block, cost_model)
+            verify_seal(world, block)
+        except ReplayMismatch as mismatch:
+            raise RecoveryError(str(mismatch)) from None
         blocks_replayed += 1
         last_committed = block.number
 

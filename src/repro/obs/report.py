@@ -163,6 +163,37 @@ _DEGRADATION_LABELS = (
 )
 
 
+def _counter_table(
+    metrics: MetricsRegistry,
+    prefix: str,
+    known: tuple[tuple[str, str], ...],
+    title: str,
+    fallback: str,
+) -> str | None:
+    """One row per non-zero ``prefix*`` counter, summed across labels.
+
+    Rows follow ``known`` order under its labels; counters it does not
+    list render after them under their raw names.  Returns None when no
+    such counter exists, and a single ``fallback`` row of 0 when all are
+    zero.
+    """
+    names = sorted(
+        {name for name, _key, _metric in metrics.series()
+         if name.startswith(prefix)}
+    )
+    if not names:
+        return None
+    labels = dict(known)
+    ordered = [name for name, _label in known if name in names]
+    ordered += [name for name in names if name not in labels]
+    rows = []
+    for name in ordered:
+        total = metrics.sum_by_name(name)
+        if total:
+            rows.append([labels.get(name, name), f"{total:g}"])
+    return render_table(title, ["event", "count"], rows or [[fallback, "0"]])
+
+
 def degradation_table(metrics: MetricsRegistry) -> str | None:
     """Summary of fault injection and recovery (``resilience_*`` series).
 
@@ -171,27 +202,12 @@ def degradation_table(metrics: MetricsRegistry) -> str | None:
     Returns None when no resilience counters exist — i.e. the run had no
     fault plan attached — so reports stay untouched outside chaos mode.
     """
-    names = sorted(
-        {name for name, _key, _metric in metrics.series()
-         if name.startswith("resilience_")}
-    )
-    if not names:
-        return None
-    known = [name for name, _label in _DEGRADATION_LABELS]
-    labels = dict(_DEGRADATION_LABELS)
-    ordered = [name for name in known if name in names]
-    ordered += [name for name in names if name not in labels]
-    rows = []
-    for name in ordered:
-        total = metrics.sum_by_name(name)
-        if total:
-            rows.append([labels.get(name, name), f"{total:g}"])
-    if not rows:
-        rows.append(["faults injected", "0"])
-    return render_table(
+    return _counter_table(
+        metrics,
+        "resilience_",
+        _DEGRADATION_LABELS,
         "Degradation summary (faults injected & recovery actions)",
-        ["event", "count"],
-        rows,
+        "faults injected",
     )
 
 
@@ -226,27 +242,12 @@ def durability_table(metrics: MetricsRegistry) -> str | None:
     registry — so reports stay untouched when journaling is off (the
     default everywhere, including every benchmark).
     """
-    names = sorted(
-        {name for name, _key, _metric in metrics.series()
-         if name.startswith("durability_")}
-    )
-    if not names:
-        return None
-    known = [name for name, _label in _DURABILITY_LABELS]
-    labels = dict(_DURABILITY_LABELS)
-    ordered = [name for name in known if name in names]
-    ordered += [name for name in names if name not in labels]
-    rows = []
-    for name in ordered:
-        total = metrics.sum_by_name(name)
-        if total:
-            rows.append([labels.get(name, name), f"{total:g}"])
-    if not rows:
-        rows.append(["blocks committed durably", "0"])
-    return render_table(
+    return _counter_table(
+        metrics,
+        "durability_",
+        _DURABILITY_LABELS,
         "Durability summary (journal, checkpoints & recovery)",
-        ["event", "count"],
-        rows,
+        "blocks committed durably",
     )
 
 

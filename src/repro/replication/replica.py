@@ -3,9 +3,11 @@
 A replica is a recovery loop that never finishes: it consumes the shipped
 feed frame by frame, maintains its *own* durable journal (byte-identical
 frames, locally pruned at checkpoints), and applies each block to its own
-world exactly as :func:`repro.durability.recover` would — verifying the
-COMMIT marker's delta digest before apply and the SEAL record's
-fingerprint after.  Because every executor is deterministic (the
+world through recovery's own machinery — the journal's frame reader
+(:func:`~repro.durability.journal.read_frame`), the block fold
+(:class:`~repro.durability.recovery.BlockFold`) and the verified apply
+that checks the COMMIT marker's delta digest before apply and the SEAL
+record's fingerprint after.  Because every executor is deterministic (the
 Block-STM argument), a verified replica *certifies* the primary's output
 rather than trusting it; any contradiction is a typed
 :class:`~repro.errors.ReplicaDivergence`, the replica quarantines itself,
@@ -19,7 +21,8 @@ Three consumption outcomes at the feed tail are distinguished:
 - a **complete frame failing CRC/decode** is transport corruption (the
   medium mirror is append-atomic, so a torn write can never produce a
   complete-but-wrong frame) — typed
-  :class:`~repro.errors.JournalCorruptionError`, quarantine;
+  :class:`~repro.errors.JournalCorruptionError`, quarantine; so is a
+  record that breaks the block protocol;
 - a **BEGIN frame with a stale epoch** is a deposed primary writing past
   the fence — counted, evidence kept, frames dropped, replica healthy
   (:class:`~repro.errors.StaleEpoch` instances in ``stale_rejections``).
@@ -31,32 +34,31 @@ the failover controller counts outstanding replay toward failover time.
 
 from __future__ import annotations
 
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..durability.checkpoint import decode_snapshot, restore_snapshot
-from ..durability.commit import delta_digest
+from ..durability.checkpoint import pick_snapshot
 from ..durability.journal import (
     JOURNAL_MAGIC,
-    MAX_FRAME_BYTES,
+    BadFrame,
     BeginRecord,
     CheckpointRecord,
     CommitRecord,
     SealRecord,
-    SettleRecord,
-    TxWriteRecord,
-    UndoRecord,
     WriteAheadJournal,
-    decode_record,
+    read_frame,
 )
 from ..durability.medium import MemoryMedium
-from ..durability.recovery import recover
+from ..durability.recovery import (
+    BlockFold,
+    ReplayedBlock,
+    ReplayMismatch,
+    recover,
+    replay_committed,
+    verify_seal,
+)
 from ..errors import JournalCorruptionError, ReplicaDivergence, StaleEpoch
 from ..sim.cost import DEFAULT_COST_MODEL, CostModel
 from ..state.world import WorldState
-
-_HEADER = struct.Struct(">II")  # the journal's frame header (length, crc32)
 
 # How many StaleEpoch instances a replica retains as rejection evidence.
 _STALE_EVIDENCE_CAP = 8
@@ -69,26 +71,9 @@ class ReplicaConfig:
     ``max_frames_per_poll`` models a slow apply loop (0 = unbounded): a
     laggy replica consumes at most that many frames per poll tick, falling
     behind under load — the hazard the lag budget exists for.
-    ``verify_roots`` controls the per-block SEAL fingerprint check (the
-    expensive half of verification; the delta digest is always checked).
     """
 
     max_frames_per_poll: int = 0
-    verify_roots: bool = True
-    prune_on_checkpoint: bool = True
-
-
-@dataclass(slots=True)
-class _OpenBlock:
-    """The block whose frames are currently streaming in."""
-
-    number: int
-    tx_count: int
-    pre_root: bytes
-    epoch: int
-    begin_own_offset: int
-    writes: dict = field(default_factory=dict)
-    committed: bool = False
 
 
 class ReplicaService:
@@ -114,26 +99,25 @@ class ReplicaService:
         self.state = "syncing"  # syncing -> streaming; terminal: quarantined
         self.error: Exception | None = None
         self.fence_epoch = feed.epoch
-        self.max_epoch_seen = 0
         self.snapshot_block: int | None = None
         self.last_committed_block: int | None = None
         self.last_sealed_block: int | None = None
         self.blocks_applied = 0
-        self.frames_applied = 0
         self.apply_us = 0.0
         self.stale_frames_rejected = 0
         self.stale_rejections: list[StaleEpoch] = []
-        # Test/chaos hooks.  ``corrupt_block`` corrupts that block's delta
-        # just before apply, forcing the SEAL verification to catch a
-        # divergent replica.  ``flip_feed_byte`` flips one byte of *this
-        # replica's view* of the feed at the given absolute offset — a
-        # per-link transport corruption (the shared feed stays intact for
-        # other replicas).
+        # Test/chaos hooks.  ``corrupt_block`` corrupts one key of this
+        # replica's world right after that block's verified apply, forcing
+        # the SEAL verification to catch a divergent replica.
+        # ``flip_feed_byte`` flips one byte of *this replica's view* of the
+        # feed at the given absolute offset — a per-link transport
+        # corruption (the shared feed stays intact for other replicas).
         self.corrupt_block: int | None = None
         self.flip_feed_byte: int | None = None
         self._cursor = 0
         self._magic_done = False
-        self._open: _OpenBlock | None = None
+        self._fold = BlockFold()
+        self._open_at = 0  # own-journal offset of the open block's BEGIN
         self._stale_block: int | None = None
         self._stale_epoch = 0
         self._skip_block: int | None = None
@@ -223,30 +207,18 @@ class ReplicaService:
 
     def _bootstrap(self) -> bool:
         """Restore the newest valid shipped snapshot; False while none."""
-        best: tuple[int, WorldState, bytes] | None = None
-        for number, blob in self.feed.snapshots:
-            try:
-                decoded_number, fingerprint, items = decode_snapshot(blob)
-            except JournalCorruptionError:
-                self._count("replication_snapshots_rejected_total")
-                continue
-            if decoded_number != number:
-                self._count("replication_snapshots_rejected_total")
-                continue
-            world = restore_snapshot(items)
-            if world.fingerprint() != fingerprint:
-                self._count("replication_snapshots_rejected_total")
-                continue
-            if best is None or number >= best[0]:
-                best = (number, world, blob)
-        if best is None:
+        snapshots = dict(self.feed.snapshots)
+        picked = pick_snapshot(
+            snapshots,
+            lambda: self._count("replication_snapshots_rejected_total"),
+        )
+        if picked is None:
             return False
-        number, world, blob = best
-        self.world = world
+        number, self.world = picked
         self.snapshot_block = number
         self.last_committed_block = number
         self.last_sealed_block = number
-        self.medium.write_snapshot(number, blob)
+        self.medium.write_snapshot(number, snapshots[number])
         self.medium.append_journal(JOURNAL_MAGIC)
         self.state = "streaming"
         return True
@@ -290,179 +262,100 @@ class ReplicaService:
                 # journal) starts directly with frames.
                 self._magic_done = True
         consumed = 0
-        size = len(data)
-        while pos < size:
-            if budget and consumed >= budget:
-                break
-            if size - pos < _HEADER.size:
-                break  # partial header: wait
-            length, crc = _HEADER.unpack_from(data, pos)
+        while pos < len(data) and not (budget and consumed >= budget):
+            read = read_frame(data, pos)
+            if read is None:
+                break  # an incomplete frame: a torn append in progress
             offset = base + pos
-            if length > MAX_FRAME_BYTES:
-                self._corrupt_feed(
-                    offset, f"implausible frame length {length}", now_us
-                )
-            body_start = pos + _HEADER.size
-            if size - body_start < length:
-                break  # partial body: a torn append in progress
-            payload = data[body_start : body_start + length]
-            end = body_start + length
-            if zlib.crc32(payload) != crc:
-                self._corrupt_feed(offset, "frame CRC mismatch", now_us)
-            try:
-                record = decode_record(payload, offset)
-            except JournalCorruptionError as exc:
-                self._corrupt_feed(offset, exc.detail, now_us)
-            raw = bytes(data[pos:end])
+            if isinstance(read, BadFrame):
+                self._corrupt_feed(offset, read.reason, now_us)
+            record, end = read
+            raw = data[pos:end]
             pos = end
             self._cursor = base + pos
-            self._handle(record, raw, offset, now_us)
+            try:
+                self._handle(record, raw, offset, now_us)
+            except JournalCorruptionError as violation:
+                self._corrupt_feed(violation.offset, violation.detail, now_us)
+            except ReplayMismatch as mismatch:
+                self._diverge(mismatch.block_number, mismatch.detail, now_us)
             consumed += 1
         return consumed
 
     def _handle(self, record, raw: bytes, offset: int, now_us: float) -> None:
-        if isinstance(record, BeginRecord):
-            self._handle_begin(record, raw, offset, now_us)
-            return
+        """Fold one frame; the fold and verified apply raise on violations."""
         number = record.block_number
-        if self._stale_block is not None and number == self._stale_block:
+        if isinstance(record, BeginRecord):
+            if record.epoch < self.fence_epoch:
+                self._stale_block = number
+                self._stale_epoch = record.epoch
+                self._skip_block = None
+                self._reject_stale(number, record.epoch, now_us)
+                return
+            self._stale_block = None
+            if (
+                self.last_committed_block is not None
+                and number <= self.last_committed_block
+            ):
+                # Frames already folded into our bootstrap snapshot.
+                self._fold.close(offset)
+                self._skip_block = number
+                return
+            self._skip_block = None
+            self._open_at = self.medium.journal_size()
+        elif self._stale_block is not None and number == self._stale_block:
             # The rest of a fenced-off block's frames.
             self._reject_stale(number, self._stale_epoch, now_us)
             return
-        if self._skip_block is not None and number == self._skip_block:
+        elif self._skip_block is not None and number == self._skip_block:
             if isinstance(record, CheckpointRecord):
                 self._skip_block = None
             return
-        if isinstance(record, CheckpointRecord):
-            self._handle_checkpoint(record, raw)
-            return
-        open_block = self._open
-        if open_block is None or number != open_block.number:
-            self._corrupt_feed(
-                offset,
-                "record sequence violates the BEGIN/COMMIT protocol",
-                now_us,
-            )
+        closed = self._fold.step(offset, record)
         self.medium.append_journal(raw)
-        self.frames_applied += 1
-        if isinstance(record, (TxWriteRecord, SettleRecord)):
-            open_block.writes.update(record.writes)
-        elif isinstance(record, UndoRecord):
-            pass  # preserved on our journal for reorg-capable promotion
-        elif isinstance(record, CommitRecord):
-            self._handle_commit(record, open_block, now_us)
+        if isinstance(record, CommitRecord):
+            self._apply(self._fold.open)
         elif isinstance(record, SealRecord):
-            self._handle_seal(record, open_block, now_us)
+            self._seal(closed)
+        elif isinstance(record, CheckpointRecord):
+            self._checkpoint(number)
 
-    def _handle_begin(
-        self, record: BeginRecord, raw: bytes, offset: int, now_us: float
-    ) -> None:
-        if record.epoch < self.fence_epoch:
-            self._stale_block = record.block_number
-            self._stale_epoch = record.epoch
-            self._skip_block = None
-            self._reject_stale(record.block_number, record.epoch, now_us)
-            return
-        self._stale_block = None
-        self.max_epoch_seen = max(self.max_epoch_seen, record.epoch)
-        if self._open is not None:
-            if self._open.committed:
-                # A committed, seal-less predecessor is legitimate history
-                # (its writes applied at COMMIT); close it and move on.
-                self._open = None
-            else:
-                self._corrupt_feed(
-                    offset, "BEGIN inside an uncommitted block", now_us
-                )
-        if (
-            self.last_committed_block is not None
-            and record.block_number <= self.last_committed_block
-        ):
-            # Frames already folded into our bootstrap snapshot.
-            self._skip_block = record.block_number
-            return
-        self._skip_block = None
-        self._open = _OpenBlock(
-            number=record.block_number,
-            tx_count=record.tx_count,
-            pre_root=record.pre_root,
-            epoch=record.epoch,
-            begin_own_offset=self.medium.journal_size(),
-        )
-        self.medium.append_journal(raw)
-        self.frames_applied += 1
-
-    def _handle_commit(
-        self, record: CommitRecord, open_block: _OpenBlock, now_us: float
-    ) -> None:
-        if delta_digest(open_block.pre_root, open_block.writes) != record.delta_digest:
-            self._diverge(
-                open_block.number,
-                "replayed delta does not match the COMMIT marker's digest",
-                now_us,
+    def _apply(self, block: ReplayedBlock) -> None:
+        self.apply_us += replay_committed(self.world, block, self.cost_model)
+        if self.corrupt_block == block.number and block.writes:
+            key = min(block.writes)
+            value = block.writes[key]
+            self.world.apply(
+                {key: value + 1 if isinstance(value, int) else value + b"\x00"}
             )
-        if self.corrupt_block == open_block.number and open_block.writes:
-            key = min(open_block.writes)
-            value = open_block.writes[key]
-            open_block.writes[key] = (
-                value + 1 if isinstance(value, int) else value + b"\x00"
-            )
-        self.world.apply(open_block.writes)
-        self.apply_us += (
-            len(open_block.writes) * self.cost_model.commit_key_us
-            + self.cost_model.fsync_us
-        )
-        open_block.committed = True
-        self.last_committed_block = open_block.number
+        self.last_committed_block = block.number
         self.blocks_applied += 1
         self._count("replication_blocks_applied_total")
 
-    def _handle_seal(
-        self, record: SealRecord, open_block: _OpenBlock, now_us: float
-    ) -> None:
-        if not open_block.committed:
-            self._corrupt_feed(
-                self._cursor, "SEAL before the COMMIT marker", now_us
-            )
-        if (
-            self.config.verify_roots
-            and self.world.fingerprint() != record.post_root
-        ):
-            self._diverge(
-                open_block.number,
-                "post-apply state fingerprint does not match the sealed root",
-                now_us,
-            )
-        self.last_sealed_block = open_block.number
-        self._open = None
+    def _seal(self, block: ReplayedBlock) -> None:
+        verify_seal(self.world, block)
+        self.last_sealed_block = block.number
         if self.metrics is not None:
             self.metrics.gauge(
                 "replication_last_sealed_block", replica=self.name
-            ).set(float(open_block.number))
+            ).set(float(block.number))
 
-    def _handle_checkpoint(self, record: CheckpointRecord, raw: bytes) -> None:
-        if self._open is not None and self._open.committed:
-            self._open = None
-        self.medium.append_journal(raw)
-        self.frames_applied += 1
-        for number, blob in self.feed.snapshots:
-            if number == record.block_number:
+    def _checkpoint(self, number: int) -> None:
+        for shipped, blob in self.feed.snapshots:
+            if shipped == number:
                 self.medium.write_snapshot(number, blob)
                 self.snapshot_block = number
                 break
-        if self.config.prune_on_checkpoint:
-            WriteAheadJournal(self.medium).prune_through(record.block_number)
-            self.medium.prune_snapshots(keep=2)
+        WriteAheadJournal(self.medium).prune_through(number)
+        self.medium.prune_snapshots(keep=2)
 
     # -- failover support ----------------------------------------------
 
     def finalize_source(self) -> None:
         """The feed is dead: drop its torn tail and any unterminated block."""
-        if self._open is not None and not self._open.committed:
-            self.medium.truncate_journal(self._open.begin_own_offset)
-            self._open = None
-        elif self._open is not None:
-            self._open = None
+        if self._fold.open is not None and not self._fold.open.committed:
+            self.medium.truncate_journal(self._open_at)
+        self._fold = BlockFold()
         self._stale_block = None
         self._cursor = len(self.feed)
 
@@ -490,7 +383,6 @@ class ReplicaService:
             WorldState,
             cost_model=self.cost_model,
             metrics=self.metrics,
-            verify_roots=self.config.verify_roots,
         )
         self.world = result.world
         self.last_committed_block = result.last_committed_block

@@ -11,8 +11,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.durability import DurableCommitPipeline, MemoryMedium
+from repro.durability import (
+    JOURNAL_MAGIC,
+    BeginRecord,
+    DurableCommitPipeline,
+    MemoryMedium,
+    SealRecord,
+    scan_journal,
+)
 from repro.durability.checkpoint import encode_snapshot
+from repro.durability.journal import encode_record, frame
+from repro.durability.recovery import group_blocks
 from repro.errors import (
     JournalCorruptionError,
     NotPrimary,
@@ -161,6 +170,40 @@ class TestReplica:
             replica.poll()
         assert replica.state == "quarantined"
         assert replica.poll() == 0  # quarantine is terminal
+
+    def test_seal_before_commit_reports_the_seal_frames_offset(self):
+        feed = ShipFeed(epoch=1)
+        feed.ship_snapshot(0, encode_snapshot(WorldState(), 0))
+        begin = frame(encode_record(BeginRecord(1, 0, b"", epoch=1)))
+        seal = frame(encode_record(SealRecord(1, b"root")))
+        data = JOURNAL_MAGIC + begin + seal
+        feed.append(data)
+        seal_offset = len(JOURNAL_MAGIC) + len(begin)
+        replica = ReplicaService("r0", feed)
+        with pytest.raises(JournalCorruptionError) as excinfo:
+            replica.poll()
+        assert replica.state == "quarantined"
+        # The same offset recovery's block fold reports: where SEAL starts.
+        assert excinfo.value.offset == seal_offset
+        assert group_blocks(scan_journal(data).frames)[1] == seal_offset
+
+    def test_torn_shipped_snapshot_falls_back_to_an_older_one(self):
+        feed = ShipFeed(epoch=1)
+        world = WorldState()
+        world.apply({balance_key(b"\x01" * 20): 5})
+        feed.ship_snapshot(0, encode_snapshot(world, 0))
+        torn = encode_snapshot(world, 1)
+        feed.ship_snapshot(1, torn[: len(torn) // 2])
+        metrics = MetricsRegistry()
+        replica = ReplicaService("r0", feed, metrics=metrics)
+        replica.poll()
+        assert replica.state == "streaming"
+        assert replica.snapshot_block == 0
+        assert replica.last_committed_block == 0
+        assert replica.world.fingerprint() == world.fingerprint()
+        assert metrics.value(
+            "replication_snapshots_rejected_total", replica="r0"
+        ) == 1.0
 
     def test_promote_recovers_from_the_replicas_own_journal(self):
         feed, _medium, pipeline, world = _shipped_pipeline()
